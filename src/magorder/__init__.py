@@ -32,7 +32,6 @@ from .discovery import (
     PagGraph,
     SkeletonResult,
     cost_vector,
-    find_neighbors,
     learn_skeleton,
     orient,
 )

@@ -205,7 +205,7 @@ def _search(config, tester, n, search_seed):
     if kind == "hc":
         cfg = HcConfig(
             max_iter=spec.get("max_iter", 20),
-            max_swap=min(spec.get("max_swap", 10), n - 1),
+            max_swap=max(1, min(spec.get("max_swap", 10), n - 1)),
             initializer=spec.get("initializer", "mb_size_sort"),
             seed=int(search_seed.generate_state(1)[0]))
         res = hill_climb(tester, cfg, finder=finder)

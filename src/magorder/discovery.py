@@ -1,8 +1,8 @@
 """Skeleton discovery along an elimination order, and PAG orientation.
 
-``find_neighbors`` decides which of the remaining variables stay adjacent
+``NeighborFinder`` decides which of the remaining variables stay adjacent
 to a target once every other remaining variable may be conditioned on.
-Running it along an order while shrinking the remaining set yields a
+Asking it along an order while shrinking the remaining set yields a
 learned skeleton whose edge count is the order's cost; orders that only
 eliminate removable vertices recover the true skeleton exactly, and every
 order yields a supergraph of it under an oracle.
@@ -20,7 +20,7 @@ from enum import Enum
 
 from .ci import OracleCiTester, markov_boundaries
 from .errors import OrientationConflict
-from .graph import ancestors, bits, inducing_path_exists, mask_of
+from .graph import _reachable, ancestors, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,14 @@ class NeighborResult:
 
 
 class NeighborFinder:
-    """Answers neighbor queries, memoised by (vertex, remaining-set).
+    """Answers neighbor queries, memoised per vertex by remaining set.
 
-    With an oracle tester, adjacency of x and y within the remaining set
-    is decided exactly: it holds when no subset of the remaining variables
-    separates them in the oracle graph, i.e. when an inducing path
-    relative to the eliminated vertices exists.  The recorded separating
-    set is then the ancestors of {x, y} within the remaining set, which
-    always separates a separable pair.
+    x and y stay adjacent within the remaining set when no subset of it
+    separates them; ``_separating_set`` decides one pair.
+
+    With an oracle tester the decision is exact: the pair is adjacent when
+    an inducing path relative to the eliminated vertices exists, and
+    otherwise ``An({x, y})`` within the remaining set separates it.
 
     With a data-driven tester, candidate separating sets are the subsets
     of ``Mb(x) | Mb(y)`` inside the remaining set, tried in ascending
@@ -49,10 +49,11 @@ class NeighborFinder:
         self.tester = tester
         self.max_sep_size = max_sep_size
         self.n = tester.n
-        self._oracle = isinstance(tester, OracleCiTester)
-        self._mask_memo = {}
-        self._sepset_memo = {}
+        self._memo = [{} for _ in range(self.n)]
         self._anc = None
+        if isinstance(tester, OracleCiTester):
+            self._anc = [ancestors(tester.graph, 1 << v)
+                         for v in range(self.n)]
         self._mb = None
 
     @property
@@ -64,57 +65,33 @@ class NeighborFinder:
 
     def neighbor_mask(self, x, remaining):
         """Bitmask of remaining vertices adjacent to x; memoised."""
-        key = (remaining << 6) | x
-        got = self._mask_memo.get(key)
+        memo = self._memo[x]
+        got = memo.get(remaining)
         if got is None:
-            if self._oracle:
-                got = self._neighbors_oracle(x, remaining)
-            else:
-                got, sepsets = self._neighbors_ci(x, remaining)
-                self._sepset_memo[key] = sepsets
-            self._mask_memo[key] = got
+            got = 0
+            for y in bits(remaining & ~(1 << x)):
+                if self._separating_set(x, y, remaining) is None:
+                    got |= 1 << y
+            memo[remaining] = got
         return got
 
     def neighbors(self, x, remaining):
         """Full result with separating sets for the rejected vertices."""
         mask = self.neighbor_mask(x, remaining)
-        if self._oracle:
-            graph = self.tester.graph
-            if self._anc is None:
-                self._anc = [ancestors(graph, 1 << v)
-                             for v in range(graph.n)]
-            sepsets = {}
-            for y in bits(remaining & ~mask & ~(1 << x)):
-                sepsets[y] = (self._anc[x] | self._anc[y]) & remaining \
-                    & ~(1 << x) & ~(1 << y)
-        else:
-            sepsets = self._sepset_memo[(remaining << 6) | x]
+        sepsets = {y: self._separating_set(x, y, remaining)
+                   for y in bits(remaining & ~mask & ~(1 << x))}
         return NeighborResult(mask, sepsets)
 
-    def _neighbors_oracle(self, x, remaining):
-        graph = self.tester.graph
-        latent = graph.full_mask & ~remaining
-        out = 0
-        for y in bits(remaining & ~(1 << x)):
-            if inducing_path_exists(graph, x, y, latent):
-                out |= 1 << y
-        return out
-
-    def _neighbors_ci(self, x, remaining):
+    def _separating_set(self, x, y, remaining):
+        """A subset of ``remaining`` separating x and y, or None."""
+        ends = (1 << x) | (1 << y)
+        if self._anc is not None:
+            anc = self._anc[x] | self._anc[y]
+            if _reachable(self.tester.graph, x, y, anc, remaining):
+                return None
+            return anc & remaining & ~ends
         mb = self.boundaries
-        out = 0
-        sepsets = {}
-        for y in bits(remaining & ~(1 << x)):
-            pool = (mb[x] | mb[y]) & remaining & ~(1 << x) & ~(1 << y)
-            sep = self._search_sepset(x, y, pool)
-            if sep is None:
-                out |= 1 << y
-            else:
-                sepsets[y] = sep
-        return out, sepsets
-
-    def _search_sepset(self, x, y, pool):
-        members = list(bits(pool))
+        members = list(bits((mb[x] | mb[y]) & remaining & ~ends))
         limit = len(members)
         if self.max_sep_size is not None:
             limit = min(limit, self.max_sep_size)
@@ -126,9 +103,11 @@ class NeighborFinder:
         return None
 
 
-def find_neighbors(x, remaining, tester, max_sep_size=None):
-    """One-shot neighbor query; see ``NeighborFinder``."""
-    return NeighborFinder(tester, max_sep_size).neighbors(x, remaining)
+def _as_finder(tester, finder, max_sep_size=None):
+    """``finder`` if given, else a new finder over ``tester``."""
+    if finder is not None:
+        return finder
+    return NeighborFinder(tester, max_sep_size)
 
 
 @dataclass(frozen=True)
@@ -149,12 +128,6 @@ class SkeletonResult:
 
     def cost(self):
         return sum(self.counts)
-
-
-def _as_finder(tester, finder, max_sep_size):
-    if finder is not None:
-        return finder
-    return NeighborFinder(tester, max_sep_size)
 
 
 def learn_skeleton(order, tester, *, max_sep_size=None, finder=None):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import markov_boundaries
-from .discovery import NeighborFinder, cost_vector, learn_skeleton
+from .discovery import _as_finder, cost_vector, learn_skeleton
 from .errors import CapacityError
 from .graph import bits
 
@@ -50,10 +50,6 @@ class HcResult:
     trace: tuple
 
 
-def _ensure_finder(tester, finder):
-    return finder if finder is not None else NeighborFinder(tester)
-
-
 def initialize_order(tester, mode, *, rng=None, seed=None, finder=None):
     """Starting order for local search.
 
@@ -65,7 +61,7 @@ def initialize_order(tester, mode, *, rng=None, seed=None, finder=None):
     pick, and falling back to the plain minimal-size pick when no vertex
     qualifies.
     """
-    finder = _ensure_finder(tester, finder)
+    finder = _as_finder(tester, finder)
     n = finder.n
     if mode == "random":
         if rng is None:
@@ -105,9 +101,9 @@ def hill_climb(tester, config=None, *, initial_order=None, finder=None):
     improvement.
     """
     cfg = config if config is not None else HcConfig()
-    finder = _ensure_finder(tester, finder)
+    finder = _as_finder(tester, finder)
     n = finder.n
-    if not cfg.max_swap < n:
+    if n > 1 and not cfg.max_swap < n:
         raise ValueError(f"max_swap must be below n={n}")
     if initial_order is not None:
         order = list(initial_order)
@@ -162,7 +158,7 @@ def value_iteration(tester, *, cap=VI_CAP, finder=None):
     with singleton and empty states free.  Ties go to the smallest
     vertex index, so the unrolled order is deterministic.
     """
-    finder = _ensure_finder(tester, finder)
+    finder = _as_finder(tester, finder)
     n = finder.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the subset-table cap {cap}")
@@ -287,7 +283,7 @@ def policy_gradient(tester, episodes=500, learning_rate=0.5, seed=0, *,
     """
     if episodes < 1:
         raise ValueError("episodes must be at least 1")
-    finder = _ensure_finder(tester, finder)
+    finder = _as_finder(tester, finder)
     n = finder.n
     policy = SoftmaxPolicy(n, num_buckets, temperature)
     rng = np.random.default_rng(seed)
@@ -313,6 +309,8 @@ def policy_gradient(tester, episodes=500, learning_rate=0.5, seed=0, *,
                 gains.append(to_go)
             batch_steps.extend(reversed(tail))
         done += batch
+        if not feats:
+            continue  # n == 1: episodes have no steps to learn from
         x = np.asarray(feats)
         g = np.asarray(gains)
         coef, *_ = np.linalg.lstsq(x, g, rcond=None)

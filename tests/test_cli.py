@@ -2,6 +2,7 @@
 determinism, report schema, and the command-line entry points."""
 
 import json
+import runpy
 
 import numpy as np
 import pytest
@@ -150,6 +151,16 @@ class TestRun:
             assert "ConfigError" in row["error"]
             assert row["metrics"] is None
 
+    @pytest.mark.parametrize("searcher", ["hc", "vi", "pg"])
+    def test_single_vertex_graph(self, searcher):
+        cfg = ExperimentConfig(graph={"kind": "er", "n": 1, "p": 0.5},
+                               searcher={"kind": searcher}, replications=2)
+        report = run(cfg)
+        assert report.aggregate["failures"] == 0
+        for row in report.rows:
+            assert list(row["order"]) == [0]
+            assert row["cost"] == 0
+
     def test_report_schema(self):
         cfg = ExperimentConfig(graph={"kind": "er", "n": 5, "p": 0.3},
                                replications=2, seed=1)
@@ -224,6 +235,14 @@ class TestMain:
         code = main(["run", "--graph-file", str(path),
                      "--tester", "fisher_z", "--replications", "2"])
         assert code == 1
+
+    def test_package_runs_as_module(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["magorder", "selfcheck", "--cap",
+                                         "4"])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("magorder", run_name="__main__")
+        assert done.value.code == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_selfcheck_command(self, capsys):
         assert main(["selfcheck", "--cap", "4"]) == 0

@@ -8,7 +8,6 @@ from magorder.discovery import (
     PagGraph,
     SkeletonResult,
     cost_vector,
-    find_neighbors,
     learn_skeleton,
     orient,
 )
@@ -35,6 +34,11 @@ def brute_neighbors(g, x, remaining):
     return out
 
 
+def memo_size(finder):
+    """Number of memoised (vertex, remaining set) answers."""
+    return sum(len(per_vertex) for per_vertex in finder._memo)
+
+
 def sem_samples(rng, g, n_samples):
     """Linear-Gaussian draws in an ancestral topological order."""
     order = []
@@ -54,13 +58,14 @@ def sem_samples(rng, g, n_samples):
 
 class TestOracleNeighbors:
     def test_worked_example_full_set(self, g1):
-        res = find_neighbors(0, g1.full_mask, OracleCiTester(g1))
+        res = NeighborFinder(OracleCiTester(g1)).neighbors(0, g1.full_mask)
         assert res.neighbors == mask_of([1, 2, 3])
         assert res.sepsets == {}
 
     def test_worked_example_separable_pair(self, g1):
         # with X1 eliminated, X3 and X4 separate marginally
-        res = find_neighbors(2, mask_of([1, 2, 3]), OracleCiTester(g1))
+        res = NeighborFinder(OracleCiTester(g1)).neighbors(
+            2, mask_of([1, 2, 3]))
         assert res.neighbors == mask_of([1])
         assert set(res.sepsets) == {3}
         assert m_separated(g1, 2, 3, res.sepsets[3])
@@ -105,7 +110,14 @@ class TestOracleNeighbors:
         finder = NeighborFinder(OracleCiTester(g1))
         first = finder.neighbor_mask(0, g1.full_mask)
         assert finder.neighbor_mask(0, g1.full_mask) == first
-        assert len(finder._mask_memo) == 1
+        assert memo_size(finder) == 1
+
+    def test_memo_keeps_vertices_apart_above_64(self):
+        g = MixedGraph(66, directed=[(0, 1), (64, 65)])
+        finder = NeighborFinder(OracleCiTester(g))
+        full = g.full_mask
+        assert finder.neighbor_mask(0, full) == 1 << 1
+        assert finder.neighbor_mask(64, full & ~1) == 1 << 65
 
 
 class TestCiNeighbors:
@@ -113,7 +125,7 @@ class TestCiNeighbors:
         rng = np.random.default_rng(3)
         data = DataMatrix(sem_samples(rng, chain3, 2000))
         tester = FisherZCiTester(data, alpha=0.01)
-        res = find_neighbors(0, 0b111, tester)
+        res = NeighborFinder(tester).neighbors(0, 0b111)
         assert res.neighbors == mask_of([1])
         assert res.sepsets[2] == mask_of([1])
 
@@ -121,7 +133,7 @@ class TestCiNeighbors:
         rng = np.random.default_rng(3)
         data = DataMatrix(sem_samples(rng, chain3, 2000))
         tester = FisherZCiTester(data, alpha=0.01)
-        res = find_neighbors(0, 0b111, tester, max_sep_size=0)
+        res = NeighborFinder(tester, max_sep_size=0).neighbors(0, 0b111)
         # without conditioning the chain endpoints stay dependent
         assert (res.neighbors >> 2) & 1
 
@@ -213,9 +225,9 @@ class TestLearnSkeleton:
     def test_shared_finder_reuses_memo(self, g1):
         finder = NeighborFinder(OracleCiTester(g1))
         learn_skeleton((0, 1, 2, 3), OracleCiTester(g1), finder=finder)
-        size = len(finder._mask_memo)
+        size = memo_size(finder)
         learn_skeleton((0, 1, 2, 3), OracleCiTester(g1), finder=finder)
-        assert len(finder._mask_memo) == size
+        assert memo_size(finder) == size
 
 
 class TestCostVector:
