@@ -51,6 +51,13 @@ class CiTester(ABC):
             self.query_count += 1
         return got
 
+    def total_conditioning(self, vs):
+        """Verdicts ``{(x, y): test(x, y, vs - {x, y})}`` for every pair
+        x < y of ``vs``, in ascending pair order."""
+        members = list(bits(vs))
+        return {(x, y): self.test(x, y, vs & ~(1 << x) & ~(1 << y))
+                for i, x in enumerate(members) for y in members[i + 1:]}
+
     @abstractmethod
     def _evaluate(self, x, y, z):
         ...
@@ -117,30 +124,69 @@ class FisherZCiTester(CiTester):
         self._threshold = norm.ppf(1 - alpha / 2)
 
     def _evaluate(self, x, y, z):
-        num_cond = z.bit_count()
+        prec = self._precision([x, y, *bits(z)], (x, y, z))
+        return self._independent(prec, 0, 1, z.bit_count(), (x, y, z))
+
+    def total_conditioning(self, vs):
+        """Same verdicts as the base loop, from one inverse of the
+        correlation submatrix on ``vs``: the partial correlation of x and
+        y given the rest of ``vs`` is read off that precision matrix.
+        Only pairs missing from the cache are evaluated and counted."""
+        if vs >> self.n:
+            raise ValueError("vertex set out of range")
+        members = list(bits(vs))
+        num_cond = len(members) - 2
+        out = {}
+        prec = None
+        for i, x in enumerate(members):
+            for j in range(i + 1, len(members)):
+                y = members[j]
+                key = (x, y, vs & ~(1 << x) & ~(1 << y))
+                got = self._cache.get(key)
+                if got is None:
+                    if prec is None:
+                        prec = self._precision(members, key)
+                    got = self._independent(prec, i, j, num_cond, key)
+                    self._cache[key] = got
+                    self.query_count += 1
+                out[(x, y)] = got
+        return out
+
+    def _precision(self, idx, query):
+        """Inverse of the correlation submatrix on ``idx``; ``query`` names
+        the test it serves in errors."""
+        num_cond = len(idx) - 2
         n_samples = self.data.num_samples
         if n_samples <= num_cond + 3:
             raise ValueError(
                 f"need more than |z| + 3 = {num_cond + 3} samples, "
                 f"have {n_samples}")
-        idx = [x, y, *bits(z)]
-        sub = self.data.correlation[np.ix_(idx, idx)]
+        sub = self.data.correlation.take(idx, 0).take(idx, 1)
         try:
-            prec = np.linalg.inv(sub)
+            return np.linalg.inv(sub)
         except np.linalg.LinAlgError as exc:
             raise CiNumericalError(
                 "singular correlation submatrix",
-                query=(x, y, set(bits(z)))) from exc
-        denom = prec[0, 0] * prec[1, 1]
+                query=_query(query)) from exc
+
+    def _independent(self, prec, i, j, num_cond, query):
+        """Fisher-z verdict for the partial correlation of rows i and j of
+        ``prec`` given ``num_cond`` other variables."""
+        denom = prec[i, i] * prec[j, j]
         if not np.isfinite(denom) or denom <= 0:
             raise CiNumericalError(
                 "ill-conditioned correlation submatrix",
-                query=(x, y, set(bits(z))))
-        r = -prec[0, 1] / np.sqrt(denom)
+                query=_query(query))
+        r = -prec[i, j] / np.sqrt(denom)
         r = min(max(r, -1 + 1e-12), 1 - 1e-12)
         stat = 0.5 * np.log((1 + r) / (1 - r)) * \
-            np.sqrt(n_samples - num_cond - 3)
+            np.sqrt(self.data.num_samples - num_cond - 3)
         return bool(abs(stat) <= self._threshold)
+
+
+def _query(key):
+    x, y, z = key
+    return (x, y, set(bits(z)))
 
 
 def markov_boundaries(tester, vs=None):
@@ -149,16 +195,15 @@ def markov_boundaries(tester, vs=None):
     dependent given all other variables of ``vs``.
 
     Returns a dict mapping each vertex of ``vs`` to a bitmask.  One query
-    per unordered pair; the relation is symmetric by construction.
+    per unordered pair, asked through ``tester.total_conditioning``; the
+    relation is symmetric by construction.  Under Fisher-Z all pairs come
+    from one inverse of the correlation submatrix on ``vs``.
     """
     if vs is None:
         vs = (1 << tester.n) - 1
-    members = list(bits(vs))
-    mb = {v: 0 for v in members}
-    for i, x in enumerate(members):
-        for y in members[i + 1:]:
-            rest = vs & ~(1 << x) & ~(1 << y)
-            if not tester.test(x, y, rest):
-                mb[x] |= 1 << y
-                mb[y] |= 1 << x
+    mb = {v: 0 for v in bits(vs)}
+    for (x, y), independent in tester.total_conditioning(vs).items():
+        if not independent:
+            mb[x] |= 1 << y
+            mb[y] |= 1 << x
     return mb

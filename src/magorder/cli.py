@@ -45,6 +45,11 @@ SCHEMA_VERSION = 1
 GRAPH_KINDS = ("er", "file", "bundled")
 TESTER_KINDS = ("oracle", "fisher_z")
 SEARCHER_KINDS = ("hc", "vi", "pg")
+# Every key a tester or searcher section may carry, over all kinds.
+TESTER_KEYS = frozenset({"kind", "alpha", "num_samples", "standardize"})
+SEARCHER_KEYS = frozenset({
+    "kind", "max_iter", "max_swap", "initializer", "cap", "episodes",
+    "learning_rate", "batch_size", "num_buckets", "temperature"})
 
 
 # -- configuration -----------------------------------------------------------
@@ -82,6 +87,12 @@ class ExperimentConfig:
                 raise ConfigError("file graph needs a path")
         elif not self.graph.get("name"):
             raise ConfigError("bundled graph needs a name")
+        for section, keys in (("tester", TESTER_KEYS),
+                              ("searcher", SEARCHER_KEYS)):
+            extra = set(getattr(self, section)) - keys
+            if extra:
+                raise ConfigError(
+                    f"unknown {section} keys: {sorted(extra)}")
         if self.tester.get("kind") not in TESTER_KINDS:
             raise ConfigError(f"tester kind must be one of {TESTER_KINDS}")
         if self.tester["kind"] == "fisher_z":
@@ -107,6 +118,12 @@ class ExperimentConfig:
             if count is not None and (not isinstance(count, int)
                                       or count < 0):
                 raise ConfigError("latent count must be a nonnegative int")
+        for name in ("replications", "seed", "workers", "max_sep_size"):
+            value = getattr(self, name)
+            if name == "max_sep_size" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.workers < 1:

@@ -192,16 +192,18 @@ def sample_sem(spec, num_samples, seed=None):
 
 # -- skeleton metrics -------------------------------------------------------
 
-def _ratio(num, den):
-    return num / den if den else 0.0
+def _ratio(num, den, exact):
+    """num / den; 0/0 is 1.0 when ``exact`` (the skeletons agree), else 0.0."""
+    return num / den if den else float(exact)
 
 
 @dataclass(frozen=True)
 class Metrics:
     """Skeleton comparison counts with the derived summary scores.
 
-    ``shd = fp + fn``; precision, recall and f1 use the 0/0 -> 0
-    convention, so f1 stays within [0, 1].
+    ``shd = fp + fn``.  Precision, recall and f1 read 0/0 as 1 when the
+    skeletons agree (shd 0, e.g. two empty skeletons) and as 0 otherwise,
+    so f1 stays within [0, 1] and is 1 exactly when shd is 0.
     """
 
     tp: int
@@ -214,16 +216,16 @@ class Metrics:
 
     @property
     def precision(self):
-        return _ratio(self.tp, self.tp + self.fp)
+        return _ratio(self.tp, self.tp + self.fp, self.shd == 0)
 
     @property
     def recall(self):
-        return _ratio(self.tp, self.tp + self.fn)
+        return _ratio(self.tp, self.tp + self.fn, self.shd == 0)
 
     @property
     def f1(self):
         p, r = self.precision, self.recall
-        return _ratio(2 * p * r, p + r)
+        return _ratio(2 * p * r, p + r, self.shd == 0)
 
     def as_dict(self):
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn,

@@ -41,8 +41,14 @@ class NeighborFinder:
     otherwise ``An({x, y})`` within the remaining set separates it.
 
     With a data-driven tester, candidate separating sets are the subsets
-    of ``Mb(x) | Mb(y)`` inside the remaining set, tried in ascending
-    size and lexicographic order, up to ``max_sep_size`` elements.
+    of the pool ``Mb(x) | Mb(y)`` inside the remaining set, tried in
+    ascending size and lexicographic order, up to ``max_sep_size``
+    elements.  Answers are kept per pair and pool.  A stored pool P that
+    contains the asked pool also answers it when P's answer is None or
+    lies inside the asked pool: the candidates of a sub-pool come in the
+    same order as in P, and P's search already rejected every one of them
+    up to that answer, so the search would return the same set and ask
+    only tests the tester has cached.
     """
 
     def __init__(self, tester, max_sep_size=None):
@@ -55,6 +61,7 @@ class NeighborFinder:
             self._anc = [ancestors(tester.graph, 1 << v)
                          for v in range(self.n)]
         self._mb = None
+        self._sep_memo = {}
 
     @property
     def boundaries(self):
@@ -91,7 +98,20 @@ class NeighborFinder:
                 return None
             return anc & remaining & ~ends
         mb = self.boundaries
-        members = list(bits((mb[x] | mb[y]) & remaining & ~ends))
+        pool = (mb[x] | mb[y]) & remaining & ~ends
+        memo = self._sep_memo.setdefault(ends, {})
+        if pool in memo:
+            return memo[pool]
+        for stored, z in memo.items():
+            if stored & pool == pool and (z is None or z & ~pool == 0):
+                memo[pool] = z
+                return z
+        memo[pool] = z = self._search(x, y, pool)
+        return z
+
+    def _search(self, x, y, pool):
+        """First subset of ``pool`` separating x and y, or None."""
+        members = list(bits(pool))
         limit = len(members)
         if self.max_sep_size is not None:
             limit = min(limit, self.max_sep_size)

@@ -8,8 +8,9 @@ from magorder.ci import (
     OracleCiTester,
     markov_boundaries,
 )
+from magorder.data import load_bundled, random_sem, sample_sem
 from magorder.errors import CiNumericalError
-from magorder.graph import MixedGraph, mask_of
+from magorder.graph import MixedGraph, bits, mask_of
 
 from conftest import random_dag
 
@@ -134,6 +135,42 @@ class TestMarkovBoundaries:
         # Within {X1, X3} the chain ends become dependent (X2 latent).
         mb = markov_boundaries(OracleCiTester(chain3), mask_of([0, 2]))
         assert mb == {0: 1 << 2, 2: 1 << 0}
+
+    def test_one_inverse_matches_per_pair_tests(self):
+        dag = load_bundled("sachs")
+        data = sample_sem(random_sem(dag, seed=21), 500, seed=22)
+        batched = FisherZCiTester(data, alpha=0.05)
+        looped = FisherZCiTester(data, alpha=0.05)
+        for t in (batched, looped):
+            t.test(0, 1, mask_of(range(2, dag.n)))  # pre-cached pair
+        rng = np.random.default_rng(23)
+        vs = dag.full_mask
+        while vs:
+            mb = markov_boundaries(batched, vs)
+            expected = {v: 0 for v in bits(vs)}
+            members = list(bits(vs))
+            for i, x in enumerate(members):
+                for y in members[i + 1:]:
+                    rest = vs & ~(1 << x) & ~(1 << y)
+                    if not looped.test(x, y, rest):
+                        expected[x] |= 1 << y
+                        expected[y] |= 1 << x
+            assert mb == expected
+            assert batched.query_count == looped.query_count
+            assert batched._cache == looped._cache
+            vs &= ~(1 << int(rng.choice(members)))
+
+    def test_one_inverse_errors_match_per_pair_tests(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="samples"):
+            markov_boundaries(FisherZCiTester(rng.normal(size=(5, 4))))
+        col = rng.normal(size=100)
+        data = np.column_stack([col, rng.normal(size=(100, 2)), col])
+        t = FisherZCiTester(data)
+        with pytest.raises(CiNumericalError) as exc:
+            markov_boundaries(t)
+        assert exc.value.query == (0, 1, {2, 3})
+        assert t.query_count == 0
 
     def test_on_fisher_data(self):
         rng = np.random.default_rng(103)

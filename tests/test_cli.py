@@ -65,6 +65,14 @@ class TestExperimentConfig:
         {"graph": {"kind": "bundled", "name": "asia"}, "replications": 0},
         {"graph": {"kind": "bundled", "name": "asia"}, "workers": 0},
         {"graph": {"kind": "bundled", "name": "asia"}, "max_sep_size": -1},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_iters": 5}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "tester": {"kind": "fisher_z", "samples": 100}},
+        {"graph": {"kind": "bundled", "name": "asia"}, "replications": "3"},
+        {"graph": {"kind": "bundled", "name": "asia"}, "seed": 1.5},
+        {"graph": {"kind": "bundled", "name": "asia"}, "workers": True},
+        {"graph": {"kind": "bundled", "name": "asia"}, "max_sep_size": "2"},
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -160,6 +168,8 @@ class TestRun:
         for row in report.rows:
             assert list(row["order"]) == [0]
             assert row["cost"] == 0
+            assert row["metrics"]["shd"] == 0
+            assert row["metrics"]["f1"] == 1.0
 
     def test_report_schema(self):
         cfg = ExperimentConfig(graph={"kind": "er", "n": 5, "p": 0.3},
@@ -227,6 +237,14 @@ class TestMain:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_misspelled_searcher_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({
+            "graph": {"kind": "er", "n": 4, "p": 0.5},
+            "searcher": {"kind": "hc", "max_iters": 5}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "max_iters" in capsys.readouterr().err
 
     def test_all_failed_replications_exit_1(self, tmp_path):
         mag = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])

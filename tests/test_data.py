@@ -295,6 +295,16 @@ class TestScore:
         assert m.shd == 5
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
 
+    def test_empty_skeletons_agree(self):
+        m = score(MixedGraph(3), MixedGraph(3))
+        assert m.shd == 0
+        assert m.precision == 1.0 and m.recall == 1.0 and m.f1 == 1.0
+
+    def test_edges_learned_on_empty_truth(self):
+        m = score(MixedGraph(3, directed=[(0, 1)]), MixedGraph(3))
+        assert m.shd == 1
+        assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
+
     def test_swap_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

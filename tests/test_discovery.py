@@ -11,6 +11,7 @@ from magorder.discovery import (
     learn_skeleton,
     orient,
 )
+from magorder.data import load_bundled, random_sem, sample_sem
 from magorder.errors import OrientationConflict
 from magorder.graph import (
     MixedGraph,
@@ -159,6 +160,28 @@ class TestCiNeighbors:
                     fast.neighbor_mask(x, g.full_mask)
                 for y, z in slow_res.sepsets.items():
                     assert m_separated(g, x, y, z)
+
+    @pytest.mark.parametrize("max_sep_size", [2, None])
+    def test_shared_finder_matches_fresh_finders(self, max_sep_size):
+        # A shared finder answers many pools from answers stored for
+        # larger pools; a fresh finder per query always searches.  Both
+        # must give the same neighbors, sepsets and distinct tests.
+        dag = load_bundled("sachs")
+        data = sample_sem(random_sem(dag, seed=11), 500, seed=12)
+        shared_tester = FisherZCiTester(data, alpha=0.05)
+        fresh_tester = FisherZCiTester(data, alpha=0.05)
+        shared = NeighborFinder(shared_tester, max_sep_size)
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            remaining = dag.full_mask
+            for x in rng.permutation(dag.n):
+                x = int(x)
+                got = shared.neighbors(x, remaining)
+                want = NeighborFinder(fresh_tester, max_sep_size).neighbors(
+                    x, remaining)
+                assert got == want, (x, remaining)
+                remaining &= ~(1 << x)
+        assert shared_tester.query_count == fresh_tester.query_count
 
 
 class TestLearnSkeleton:
