@@ -9,10 +9,11 @@ on a data matrix.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import CiNumericalError
 from .graph import bits, m_separated, mask_of
@@ -121,7 +122,10 @@ class FisherZCiTester(CiTester):
             raise ValueError("alpha must be in (0, 1)")
         self.data = data
         self.alpha = alpha
-        self._threshold = norm.ppf(1 - alpha / 2)
+        # Wichura's AS241.  An alpha too small to leave 1 - alpha / 2 below
+        # 1 gives an infinite threshold: every test is independent.
+        p = 1 - alpha / 2
+        self._threshold = math.inf if p == 1.0 else NormalDist().inv_cdf(p)
 
     def _evaluate(self, x, y, z):
         prec = self._precision([x, y, *bits(z)], (x, y, z))

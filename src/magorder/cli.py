@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .ci import DataMatrix, FisherZCiTester, OracleCiTester
 from .data import (
@@ -45,11 +46,27 @@ SCHEMA_VERSION = 1
 GRAPH_KINDS = ("er", "file", "bundled")
 TESTER_KINDS = ("oracle", "fisher_z")
 SEARCHER_KINDS = ("hc", "vi", "pg")
-# Every key a tester or searcher section may carry, over all kinds.
+# Every key a tester section may carry, over all kinds.
 TESTER_KEYS = frozenset({"kind", "alpha", "num_samples", "standardize"})
-SEARCHER_KEYS = frozenset({
-    "kind", "max_iter", "max_swap", "initializer", "cap", "episodes",
-    "learning_rate", "batch_size", "num_buckets", "temperature"})
+# The keys a searcher section may carry, per kind.
+SEARCHER_KEYS = {
+    "hc": frozenset({"kind", "max_iter", "max_swap", "initializer"}),
+    "vi": frozenset({"kind", "cap"}),
+    "pg": frozenset({"kind", "episodes", "learning_rate", "batch_size",
+                     "num_buckets", "temperature"}),
+}
+# Searcher values that must be an int, or any real number; bools are neither.
+INT_KEYS = frozenset({"max_iter", "max_swap", "cap", "episodes",
+                      "batch_size", "num_buckets"})
+REAL_KEYS = frozenset({"learning_rate", "temperature"})
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # -- configuration -----------------------------------------------------------
@@ -78,51 +95,58 @@ class ExperimentConfig:
         kind = self.graph["kind"]
         if kind == "er":
             n, p = self.graph.get("n"), self.graph.get("p")
-            if not isinstance(n, int) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise ConfigError("er graph needs a positive integer n")
-            if p is None or not 0 <= p <= 1:
+            if not _is_real(p) or not 0 <= p <= 1:
                 raise ConfigError("er graph needs p in [0, 1]")
         elif kind == "file":
             if not self.graph.get("path"):
                 raise ConfigError("file graph needs a path")
         elif not self.graph.get("name"):
             raise ConfigError("bundled graph needs a name")
-        for section, keys in (("tester", TESTER_KEYS),
-                              ("searcher", SEARCHER_KEYS)):
-            extra = set(getattr(self, section)) - keys
-            if extra:
-                raise ConfigError(
-                    f"unknown {section} keys: {sorted(extra)}")
+        extra = set(self.tester) - TESTER_KEYS
+        if extra:
+            raise ConfigError(f"unknown tester keys: {sorted(extra)}")
         if self.tester.get("kind") not in TESTER_KINDS:
             raise ConfigError(f"tester kind must be one of {TESTER_KINDS}")
         if self.tester["kind"] == "fisher_z":
             alpha = self.tester.get("alpha", 0.01)
-            if not 0 < alpha < 1:
-                raise ConfigError("alpha must be in (0, 1)")
+            if not _is_real(alpha) or not 0 < alpha < 1:
+                raise ConfigError("alpha must be a number in (0, 1)")
             num = self.tester.get("num_samples")
-            if num is not None and (not isinstance(num, int) or num < 1):
+            if num is not None and (not _is_int(num) or num < 1):
                 raise ConfigError("num_samples must be a positive integer")
             if not isinstance(self.tester.get("standardize", False), bool):
                 raise ConfigError("standardize must be a boolean")
-        if self.searcher.get("kind") not in SEARCHER_KINDS:
+        searcher = self.searcher.get("kind")
+        if searcher not in SEARCHER_KINDS:
             raise ConfigError(
                 f"searcher kind must be one of {SEARCHER_KINDS}")
+        extra = set(self.searcher) - SEARCHER_KEYS[searcher]
+        if extra:
+            raise ConfigError(f"unknown searcher keys for kind "
+                              f"{searcher!r}: {sorted(extra)}")
+        for key, value in self.searcher.items():
+            if key in INT_KEYS and not _is_int(value):
+                raise ConfigError(f"searcher {key} must be an integer")
+            if key in REAL_KEYS and not _is_real(value):
+                raise ConfigError(f"searcher {key} must be a number")
         if self.latent is not None:
             frac, count = self.latent.get("fraction"), self.latent.get(
                 "count")
             if (frac is None) == (count is None):
                 raise ConfigError(
                     "latent spec needs exactly one of fraction or count")
-            if frac is not None and not 0 <= frac < 1:
+            if frac is not None and (not _is_real(frac)
+                                     or not 0 <= frac < 1):
                 raise ConfigError("latent fraction must lie in [0, 1)")
-            if count is not None and (not isinstance(count, int)
-                                      or count < 0):
+            if count is not None and (not _is_int(count) or count < 0):
                 raise ConfigError("latent count must be a nonnegative int")
         for name in ("replications", "seed", "workers", "max_sep_size"):
             value = getattr(self, name)
             if name == "max_sep_size" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise ConfigError(f"{name} must be an integer")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
@@ -251,6 +275,39 @@ def _run_replication_args(packed):
 
 # -- the run command ---------------------------------------------------------
 
+def _student_t_cdf(t, df):
+    """P(T <= t) for Student's t with integer ``df`` >= 1 and t >= 0, by
+    the finite series of Abramowitz & Stegun 26.7.3-4."""
+    theta = math.atan(t / math.sqrt(df))
+    s, c = math.sin(theta), math.cos(theta)
+    c2 = c * c
+    term = total = 1.0 if df % 2 == 0 else c
+    for k in range(2 + df % 2, df - 1, 2):
+        term *= c2 * (k - 1) / k
+        total += term
+    if df % 2 == 0:
+        both = s * total
+    else:
+        both = 2 / math.pi * (theta + (s * total if df > 1 else 0.0))
+    return 0.5 + both / 2
+
+
+def _student_t_quantile(p, df):
+    """Quantile of Student's t for integer ``df`` and 0.5 <= p < 1, by
+    bisection on ``_student_t_cdf`` down to adjacent floats."""
+    lo, hi = 0.0, 1.0
+    while _student_t_cdf(hi, df) < p:
+        lo, hi = hi, 2 * hi
+    while True:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return hi
+        if _student_t_cdf(mid, df) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _mean_ci(values):
     k = len(values)
     if k == 0:
@@ -258,7 +315,7 @@ def _mean_ci(values):
     mean = float(np.mean(values))
     if k == 1:
         return {"mean": mean, "ci80": None}
-    half = float(student_t.ppf(0.90, k - 1)
+    half = float(_student_t_quantile(0.90, k - 1)
                  * np.std(values, ddof=1) / np.sqrt(k))
     return {"mean": mean, "ci80": [mean - half, mean + half]}
 
@@ -307,6 +364,26 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _check_sample_size(config):
+    """Reject a Fisher-Z sample size too small for the total-conditioning
+    Markov boundaries, which condition each pair on every other observed
+    variable and so need more than ``observed + 1`` samples."""
+    num = config.tester.get("num_samples")
+    if config.tester["kind"] != "fisher_z" or num is None:
+        return
+    n = config.graph["n"] if config.graph["kind"] == "er" \
+        else _build_graph(config, None).n
+    latent = config.latent or {}
+    hidden = latent.get("count")
+    if hidden is None:
+        hidden = round(latent.get("fraction", 0.0) * n)
+    observed = n - hidden
+    if num <= observed + 1:
+        raise ConfigError(
+            f"fisher_z needs more than observed + 1 = {observed + 1} "
+            f"samples for the Markov boundaries, got {num}")
+
+
 def run(config):
     """Execute all replications of ``config`` and return a RunReport.
 
@@ -316,6 +393,7 @@ def run(config):
     remaining replications still run.
     """
     started = time.perf_counter()
+    _check_sample_size(config)
     children = np.random.SeedSequence(config.seed).spawn(
         config.replications)
     jobs = [(config, i, child) for i, child in enumerate(children)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from magorder.ci import (
     markov_boundaries,
 )
 from magorder.data import load_bundled, random_sem, sample_sem
+from magorder.discovery import learn_skeleton
 from magorder.errors import CiNumericalError
 from magorder.graph import MixedGraph, bits, mask_of
 
@@ -104,6 +107,26 @@ class TestFisherZ:
         t = FisherZCiTester(data)
         with pytest.raises(CiNumericalError):
             t.test(0, 1, 1 << 2)
+
+    @pytest.mark.parametrize("alpha, quantile", [
+        (0.01, 2.5758293035489),
+        (0.025, 2.241402727604947),
+        (0.05, 1.959963984540054),
+    ])
+    def test_threshold_is_two_sided_normal_quantile(self, alpha, quantile):
+        data = np.random.default_rng(4).normal(size=(20, 2))
+        t = FisherZCiTester(data, alpha=alpha)
+        assert t._threshold == pytest.approx(quantile, rel=0, abs=1e-12)
+
+    def test_alpha_below_float_resolution_accepts_every_test(self):
+        # 1 - alpha / 2 rounds to 1.0: the threshold is infinite, so every
+        # pair is independent and the skeleton has no edges.
+        dag = load_bundled("asia")
+        data = sample_sem(random_sem(dag, seed=1), 400, seed=2)
+        t = FisherZCiTester(data, alpha=1e-300)
+        assert t._threshold == math.inf
+        assert learn_skeleton(range(dag.n), t).edges == set()
+        assert t.test(0, 1) is True
 
     def test_accepts_raw_arrays_and_data_matrix(self):
         rng = np.random.default_rng(7)

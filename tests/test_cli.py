@@ -2,7 +2,12 @@
 determinism, report schema, and the command-line entry points."""
 
 import json
+import math
 import runpy
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from magorder.cli import (
     SCHEMA_VERSION,
     ExperimentConfig,
+    _student_t_quantile,
     main,
     run,
     selfcheck,
@@ -43,6 +49,7 @@ class TestExperimentConfig:
         {"graph": {"kind": "er", "n": 4.5, "p": 0.5}},
         {"graph": {"kind": "er", "n": 4, "p": 1.5}},
         {"graph": {"kind": "er", "n": 4}},
+        {"graph": {"kind": "er", "n": 4, "p": "0.5"}},
         {"graph": {"kind": "file"}},
         {"graph": {"kind": "bundled"}},
         {"graph": {"kind": "bundled", "name": "asia"},
@@ -62,6 +69,8 @@ class TestExperimentConfig:
          "latent": {"fraction": 1.0}},
         {"graph": {"kind": "bundled", "name": "asia"},
          "latent": {"count": -1}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "latent": {"fraction": "0.2"}},
         {"graph": {"kind": "bundled", "name": "asia"}, "replications": 0},
         {"graph": {"kind": "bundled", "name": "asia"}, "workers": 0},
         {"graph": {"kind": "bundled", "name": "asia"}, "max_sep_size": -1},
@@ -73,6 +82,32 @@ class TestExperimentConfig:
         {"graph": {"kind": "bundled", "name": "asia"}, "seed": 1.5},
         {"graph": {"kind": "bundled", "name": "asia"}, "workers": True},
         {"graph": {"kind": "bundled", "name": "asia"}, "max_sep_size": "2"},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "tester": {"kind": "fisher_z", "alpha": "0.1"}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "tester": {"kind": "fisher_z", "alpha": True}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_iter": "5"}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_swap": 2.0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_iter": True}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "vi", "cap": "20"}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "episodes": 1.5}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "batch_size": False}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "num_buckets": "4"}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "learning_rate": "0.5"}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "temperature": None}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "vi", "max_iter": 5}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "episodes": 10}},
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -171,6 +206,17 @@ class TestRun:
             assert row["metrics"]["shd"] == 0
             assert row["metrics"]["f1"] == 1.0
 
+    def test_sample_size_below_markov_boundary_needs_rejected(self):
+        # 8 observed variables: total conditioning needs more than 9.
+        cfg = ExperimentConfig(graph={"kind": "bundled", "name": "asia"},
+                               tester={"kind": "fisher_z", "num_samples": 9})
+        with pytest.raises(ConfigError, match="samples"):
+            run(cfg)
+        ok = ExperimentConfig(graph={"kind": "bundled", "name": "asia"},
+                              tester={"kind": "fisher_z", "num_samples": 9},
+                              latent={"count": 1})
+        assert run(ok).aggregate["failures"] == 0
+
     def test_report_schema(self):
         cfg = ExperimentConfig(graph={"kind": "er", "n": 5, "p": 0.3},
                                replications=2, seed=1)
@@ -183,6 +229,29 @@ class TestRun:
                             "ci_tests", "order", "orientation_conflict",
                             "wall_clock"}
         assert json.dumps(out)  # JSON-serializable end to end
+
+
+class TestStudentT:
+    def test_closed_forms(self):
+        assert _student_t_quantile(0.9, 1) == pytest.approx(
+            math.tan(0.4 * math.pi), rel=1e-12)
+        assert _student_t_quantile(0.9, 2) == pytest.approx(
+            0.8 / math.sqrt(0.18), rel=1e-12)
+
+    @pytest.mark.parametrize("df, quantile", [
+        (4, 1.533206274058944),
+        (29, 1.311433647301551),
+    ])
+    def test_tabulated_values(self, df, quantile):
+        assert _student_t_quantile(0.9, df) == pytest.approx(quantile,
+                                                             abs=1e-9)
+
+    def test_tends_to_normal_quantile(self):
+        normal = NormalDist().inv_cdf(0.9)
+        gaps = [_student_t_quantile(0.9, df) - normal
+                for df in (10, 100, 1000, 5000)]
+        assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-3
 
 
 class TestSelfcheck:
@@ -226,11 +295,26 @@ class TestMain:
         ["run", "--er", "x", "0.5"],
         ["run", "--er", "4", "0.4", "--network", "asia"],
         ["run", "--config", "/nonexistent/config.json"],
+        ["run", "--er", "4", "0.4", "--vi-cap", "5"],
         ["score", "/nonexistent/a.edges", "/nonexistent/b.edges"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_mistyped_alpha_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "alpha.json"
+        path.write_text(json.dumps({
+            "graph": {"kind": "bundled", "name": "asia"},
+            "tester": {"kind": "fisher_z", "alpha": "0.1"}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    def test_too_few_fisher_z_samples_exit_2(self, capsys):
+        # alarm has 37 variables; the Markov boundaries need over 38 samples.
+        assert main(["run", "--network", "alarm", "--tester", "fisher_z",
+                     "--samples", "30"]) == 2
+        assert "38" in capsys.readouterr().err
 
     def test_bad_json_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -261,6 +345,15 @@ class TestMain:
             runpy.run_module("magorder", run_name="__main__")
         assert done.value.code == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, magorder, magorder.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_selfcheck_command(self, capsys):
         assert main(["selfcheck", "--cap", "4"]) == 0
