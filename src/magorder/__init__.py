@@ -67,8 +67,10 @@ from .orders import (
 from .search import (
     HcConfig,
     HcResult,
+    PgConfig,
     PgResult,
     SoftmaxPolicy,
+    ViConfig,
     ViResult,
     hill_climb,
     initialize_order,

@@ -10,14 +10,16 @@ Exit codes: 0 success, 1 check/run failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
 import math
 import numbers
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -37,36 +39,81 @@ from .data import (
 )
 from .discovery import NeighborFinder, cost_vector, learn_skeleton, orient
 from .errors import ConfigError, EdgeListParseError, OrientationConflict
-from .graph import MixedGraph, bits, is_maximal, m_separated, mask_of
+from .graph import (bits, is_maximal, m_separated, markov_equivalent_dags,
+                    mask_of)
 from .orders import enumerate_c_orders, enumerate_r_orders, is_r_order
-from .search import HcConfig, hill_climb, policy_gradient, value_iteration
+from .search import (INITIALIZERS, HcConfig, PgConfig, ViConfig, hill_climb,
+                     policy_gradient, value_iteration)
 
 SCHEMA_VERSION = 1
 
 GRAPH_KINDS = ("er", "file", "bundled")
-TESTER_KINDS = ("oracle", "fisher_z")
-SEARCHER_KINDS = ("hc", "vi", "pg")
-# Every key a tester section may carry, over all kinds.
-TESTER_KEYS = frozenset({"kind", "alpha", "num_samples", "standardize"})
-# The keys a searcher section may carry, per kind.
-SEARCHER_KEYS = {
-    "hc": frozenset({"kind", "max_iter", "max_swap", "initializer"}),
-    "vi": frozenset({"kind", "cap"}),
-    "pg": frozenset({"kind", "episodes", "learning_rate", "batch_size",
-                     "num_buckets", "temperature"}),
-}
-# Searcher values that must be an int, or any real number; bools are neither.
-INT_KEYS = frozenset({"max_iter", "max_swap", "cap", "episodes",
-                      "batch_size", "num_buckets"})
-REAL_KEYS = frozenset({"learning_rate", "temperature"})
 
 
-def _is_real(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class OracleConfig:
+    """The m-separation oracle takes no settings."""
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+@dataclass(frozen=True)
+class FisherZConfig:
+    alpha: float = 0.01
+    num_samples: int | None = None
+    standardize: bool = False
+
+    def __post_init__(self):
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must be a number in (0, 1)")
+        if self.num_samples is not None and self.num_samples < 1:
+            raise ValueError("num_samples must be a positive integer")
+
+    def sample_size(self, observed):
+        """``num_samples``, or 50 per observed variable when unset."""
+        return self.num_samples or 50 * observed
+
+
+# The settings class of each kind: its fields are the kind's only keys.
+TESTERS = {"oracle": OracleConfig, "fisher_z": FisherZConfig}
+SEARCHERS = {"hc": HcConfig, "vi": ViConfig, "pg": PgConfig}
+
+
+def _fits(value, hint):
+    """Whether a JSON value fits a type hint such as ``int | None``: a bool
+    fits only ``bool``, and any real number fits ``float``."""
+    allowed = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        return bool in allowed
+    return any(isinstance(value, numbers.Real if t is float else t)
+               for t in allowed)
+
+
+def _check_types(cls, values, where=""):
+    """ConfigError unless each value fits the type hint of the field of
+    that name in the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    for name, value in values.items():
+        hint = hints[name]
+        if not _fits(value, hint):
+            raise ConfigError(f"{where}{name} must be "
+                              f"{getattr(hint, '__name__', hint)}, "
+                              f"got {value!r}")
+
+
+def _settings(table, section, role):
+    """The settings object for a ``{"kind": ..., **settings}`` section."""
+    kind = section.get("kind")
+    if kind not in table:
+        raise ConfigError(f"{role} kind must be one of {tuple(table)}")
+    values = {k: v for k, v in section.items() if k != "kind"}
+    extra = set(values) - {f.name for f in fields(table[kind])}
+    if extra:
+        raise ConfigError(f"unknown {role} keys for kind {kind!r}: "
+                          f"{sorted(extra)}")
+    _check_types(table[kind], values, f"{role} ")
+    try:
+        return table[kind](**values)
+    except ValueError as exc:
+        raise ConfigError(f"{role} {kind}: {exc}") from None
 
 
 # -- configuration -----------------------------------------------------------
@@ -76,7 +123,8 @@ class ExperimentConfig:
     """One experiment: graph source, tester, searcher, replication plan.
 
     The three variant parts are plain dicts with a ``kind`` key so the
-    whole config round-trips through JSON unchanged.
+    whole config round-trips through JSON unchanged; the tester and
+    searcher settings they hold are also kept as typed objects.
     """
 
     graph: dict
@@ -88,66 +136,40 @@ class ExperimentConfig:
     workers: int = 1
     max_sep_size: int | None = None
     output: str | None = None
+    tester_settings: object = field(init=False, repr=False, compare=False)
+    searcher_settings: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_types(type(self), self.to_dict())
         if self.graph.get("kind") not in GRAPH_KINDS:
             raise ConfigError(f"graph kind must be one of {GRAPH_KINDS}")
         kind = self.graph["kind"]
         if kind == "er":
             n, p = self.graph.get("n"), self.graph.get("p")
-            if not _is_int(n) or n < 1:
+            if not _fits(n, int) or n < 1:
                 raise ConfigError("er graph needs a positive integer n")
-            if not _is_real(p) or not 0 <= p <= 1:
+            if not _fits(p, float) or not 0 <= p <= 1:
                 raise ConfigError("er graph needs p in [0, 1]")
         elif kind == "file":
             if not self.graph.get("path"):
                 raise ConfigError("file graph needs a path")
         elif not self.graph.get("name"):
             raise ConfigError("bundled graph needs a name")
-        extra = set(self.tester) - TESTER_KEYS
-        if extra:
-            raise ConfigError(f"unknown tester keys: {sorted(extra)}")
-        if self.tester.get("kind") not in TESTER_KINDS:
-            raise ConfigError(f"tester kind must be one of {TESTER_KINDS}")
-        if self.tester["kind"] == "fisher_z":
-            alpha = self.tester.get("alpha", 0.01)
-            if not _is_real(alpha) or not 0 < alpha < 1:
-                raise ConfigError("alpha must be a number in (0, 1)")
-            num = self.tester.get("num_samples")
-            if num is not None and (not _is_int(num) or num < 1):
-                raise ConfigError("num_samples must be a positive integer")
-            if not isinstance(self.tester.get("standardize", False), bool):
-                raise ConfigError("standardize must be a boolean")
-        searcher = self.searcher.get("kind")
-        if searcher not in SEARCHER_KINDS:
-            raise ConfigError(
-                f"searcher kind must be one of {SEARCHER_KINDS}")
-        extra = set(self.searcher) - SEARCHER_KEYS[searcher]
-        if extra:
-            raise ConfigError(f"unknown searcher keys for kind "
-                              f"{searcher!r}: {sorted(extra)}")
-        for key, value in self.searcher.items():
-            if key in INT_KEYS and not _is_int(value):
-                raise ConfigError(f"searcher {key} must be an integer")
-            if key in REAL_KEYS and not _is_real(value):
-                raise ConfigError(f"searcher {key} must be a number")
+        object.__setattr__(self, "tester_settings",
+                           _settings(TESTERS, self.tester, "tester"))
+        object.__setattr__(self, "searcher_settings",
+                           _settings(SEARCHERS, self.searcher, "searcher"))
         if self.latent is not None:
             frac, count = self.latent.get("fraction"), self.latent.get(
                 "count")
             if (frac is None) == (count is None):
                 raise ConfigError(
                     "latent spec needs exactly one of fraction or count")
-            if frac is not None and (not _is_real(frac)
+            if frac is not None and (not _fits(frac, float)
                                      or not 0 <= frac < 1):
                 raise ConfigError("latent fraction must lie in [0, 1)")
-            if count is not None and (not _is_int(count) or count < 0):
+            if count is not None and (not _fits(count, int) or count < 0):
                 raise ConfigError("latent count must be a nonnegative int")
-        for name in ("replications", "seed", "workers", "max_sep_size"):
-            value = getattr(self, name)
-            if name == "max_sep_size" and value is None:
-                continue
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
         if self.workers < 1:
@@ -157,9 +179,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        known = {"graph", "tester", "searcher", "latent", "replications",
-                 "seed", "workers", "max_sep_size", "output"}
-        extra = set(raw) - known
+        extra = set(raw) - {f.name for f in fields(cls) if f.init}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
         if "graph" not in raw:
@@ -167,12 +187,8 @@ class ExperimentConfig:
         return cls(**raw)
 
     def to_dict(self):
-        return {"graph": dict(self.graph), "tester": dict(self.tester),
-                "searcher": dict(self.searcher),
-                "latent": dict(self.latent) if self.latent else None,
-                "replications": self.replications, "seed": self.seed,
-                "workers": self.workers, "max_sep_size": self.max_sep_size,
-                "output": self.output}
+        return {f.name: copy.copy(getattr(self, f.name))
+                for f in fields(self) if f.init}
 
 
 def _build_graph(config, seed):
@@ -222,49 +238,39 @@ def _run_replication(config, index, seed_seq):
 
 
 def _build_tester(config, base, truth, observed, sem_seed, data_seed):
-    if config.tester["kind"] == "oracle":
+    cfg = config.tester_settings
+    if isinstance(cfg, OracleConfig):
         return OracleCiTester(truth)
     if base.bidirected or not base.is_dag():
         raise ConfigError("fisher_z needs a DAG graph source")
     spec = random_sem(base, seed=sem_seed)
-    if config.tester.get("standardize", False):
+    if cfg.standardize:
         spec = standardize_sem(spec)
-    num = config.tester.get("num_samples") or 50 * len(observed)
-    data = sample_sem(spec, num, seed=data_seed)
+    data = sample_sem(spec, cfg.sample_size(len(observed)), seed=data_seed)
     values = data.values[:, observed]
     names = None
     if data.names is not None:
         names = tuple(data.names[i] for i in observed)
-    return FisherZCiTester(DataMatrix(values, names),
-                           alpha=config.tester.get("alpha", 0.01))
+    return FisherZCiTester(DataMatrix(values, names), alpha=cfg.alpha)
 
 
 def _search(config, tester, n, search_seed):
     finder = NeighborFinder(tester, config.max_sep_size)
-    spec = config.searcher
-    kind = spec["kind"]
-    if kind == "hc":
-        cfg = HcConfig(
-            max_iter=spec.get("max_iter", 20),
-            max_swap=max(1, min(spec.get("max_swap", 10), n - 1)),
-            initializer=spec.get("initializer", "mb_size_sort"),
-            seed=int(search_seed.generate_state(1)[0]))
-        res = hill_climb(tester, cfg, finder=finder)
+    cfg = config.searcher_settings
+    if isinstance(cfg, HcConfig):
+        # The swap window must stay below n; a lone vertex has no swaps.
+        cfg = replace(cfg, max_swap=min(cfg.max_swap, max(n - 1, 1)))
+        res = hill_climb(tester, cfg,
+                         seed=int(search_seed.generate_state(1)[0]),
+                         finder=finder)
         return res.order, res.skeleton, [cost for _, cost, _ in res.trace]
-    if kind == "vi":
-        res = value_iteration(tester, cap=spec.get("cap", 20),
-                              finder=finder)
+    if isinstance(cfg, ViConfig):
+        res = value_iteration(tester, cfg, finder=finder)
         skeleton = learn_skeleton(res.order, tester, finder=finder)
         return res.order, skeleton, [res.total_cost]
-    res = policy_gradient(
-        tester,
-        episodes=spec.get("episodes", 500),
-        learning_rate=spec.get("learning_rate", 0.5),
-        seed=int(search_seed.generate_state(1)[0]),
-        batch_size=spec.get("batch_size", 10),
-        num_buckets=spec.get("num_buckets", 4),
-        temperature=spec.get("temperature", 1.0),
-        finder=finder)
+    res = policy_gradient(tester, cfg,
+                          seed=int(search_seed.generate_state(1)[0]),
+                          finder=finder)
     skeleton = learn_skeleton(res.order, tester, finder=finder)
     return res.order, skeleton, [-r for r in res.rewards]
 
@@ -368,8 +374,8 @@ def _check_sample_size(config):
     """Reject a Fisher-Z sample size too small for the total-conditioning
     Markov boundaries, which condition each pair on every other observed
     variable and so need more than ``observed + 1`` samples."""
-    num = config.tester.get("num_samples")
-    if config.tester["kind"] != "fisher_z" or num is None:
+    num = getattr(config.tester_settings, "num_samples", None)
+    if num is None:
         return
     n = config.graph["n"] if config.graph["kind"] == "er" \
         else _build_graph(config, None).n
@@ -410,34 +416,11 @@ def run(config):
 
 # -- selfcheck ---------------------------------------------------------------
 
-def _unshielded_colliders(g):
-    out = set()
-    for v in range(g.n):
-        pa = list(bits(g.parents_mask(v)))
-        for i, a in enumerate(pa):
-            for b in pa[i + 1:]:
-                if not g.has_skeleton_edge(a, b):
-                    out.add((a, v, b))
-    return out
-
-
-def _dag_mec(g):
-    edges = sorted(g.skeleton_edges())
-    target = _unshielded_colliders(g)
-    out = []
-    for flips in range(1 << len(edges)):
-        directed = [(v, u) if (flips >> i) & 1 else (u, v)
-                    for i, (u, v) in enumerate(edges)]
-        h = MixedGraph(g.n, directed=directed)
-        if h.is_dag() and _unshielded_colliders(h) == target:
-            out.append(h)
-    return out
-
 def _check_order_predicates(cap, rng):
     for _ in range(10):
         g = erdos_renyi_dag(min(cap, 5), 0.5,
                             seed=int(rng.integers(1 << 30)))
-        mec = _dag_mec(g)
+        mec = markov_equivalent_dags(g)
         r_sets = [frozenset(enumerate_r_orders(m)) for m in mec]
         if len(set(r_sets)) != 1:
             return False, "r-order sets differ inside one equivalence class"
@@ -584,17 +567,16 @@ def _add_run_flags(sub):
                      choices=bundled_networks())
     sub.add_argument("--latent-fraction", type=float)
     sub.add_argument("--latent-count", type=int)
-    sub.add_argument("--tester", choices=TESTER_KINDS)
+    sub.add_argument("--tester", choices=tuple(TESTERS))
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--samples", type=int,
                      help="sample size (default 50 per observed variable)")
     sub.add_argument("--standardize", action="store_true", default=None,
                      help="rescale the SEM to unit population variances")
-    sub.add_argument("--searcher", choices=SEARCHER_KINDS)
+    sub.add_argument("--searcher", choices=tuple(SEARCHERS))
     sub.add_argument("--max-iter", type=int)
     sub.add_argument("--max-swap", type=int)
-    sub.add_argument("--initializer",
-                     choices=("random", "mb_size_sort", "mb_recursive"))
+    sub.add_argument("--initializer", choices=INITIALIZERS)
     sub.add_argument("--vi-cap", type=int)
     sub.add_argument("--episodes", type=int)
     sub.add_argument("--learning-rate", type=float)

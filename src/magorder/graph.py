@@ -26,6 +26,8 @@ reflexively: every vertex is an ancestor of itself.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import CapacityError
 
 
@@ -479,3 +481,23 @@ def is_markov_equivalent(g1, g2, cap=8):
                 if m_separated(g1, x, y, z) != m_separated(g2, x, y, z):
                     return False
     return True
+
+
+def markov_equivalent_dags(g):
+    """All DAGs Markov equivalent to the DAG ``g``: the acyclic
+    orientations of its skeleton with the same unshielded colliders
+    (Verma & Pearl 1990).  Brute force over 2^edges orientations."""
+    def colliders(h):
+        return {(a, v, b) for v in range(h.n)
+                for a, b in combinations(bits(h.parents_mask(v)), 2)
+                if not h.has_skeleton_edge(a, b)}
+
+    edges = sorted(g.skeleton_edges())
+    target = colliders(g)
+    out = []
+    for flips in range(1 << len(edges)):
+        h = MixedGraph(g.n, [(v, u) if (flips >> i) & 1 else (u, v)
+                             for i, (u, v) in enumerate(edges)])
+        if h.is_dag() and colliders(h) == target:
+            out.append(h)
+    return out

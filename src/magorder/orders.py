@@ -14,13 +14,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import CapacityError
-from .graph import (
-    bits,
-    induced_subgraph,
-    is_ancestral,
-    is_removable,
-    latent_projection,
-)
+from .graph import bits, induced_subgraph, is_ancestral, is_removable
 
 ENUMERATION_CAP = 8
 
@@ -60,27 +54,8 @@ def enumerate_c_orders(g, cap=ENUMERATION_CAP):
     """All c-orders, as a sorted list of tuples.  Factorial in n."""
     if g.n > cap:
         raise CapacityError(f"c-order enumeration capped at n={cap}")
-    if g.bidirected:
-        raise ValueError("c-orders are defined for DAGs")
-    out = []
-    for perm in permutations(range(g.n)):
-        pos = [0] * g.n
-        for i, v in enumerate(perm):
-            pos[v] = i
-        if all(pos[child] < pos[parent] for parent, child in g.directed):
-            out.append(perm)
-    return out
-
-
-def _removable_vertices(sub):
-    """Local indices removable in ``sub``, via the projection comparison."""
-    full = sub.full_mask
-    out = []
-    for v in range(sub.n):
-        rest = full & ~(1 << v)
-        if induced_subgraph(sub, rest) == latent_projection(sub, rest):
-            out.append(v)
-    return out
+    return [perm for perm in permutations(range(g.n))
+            if is_c_order(g, perm)]
 
 
 def enumerate_r_orders(g, cap=ENUMERATION_CAP):
@@ -103,7 +78,8 @@ def enumerate_r_orders(g, cap=ENUMERATION_CAP):
         if got is None:
             sub = induced_subgraph(g, mask)
             local_to_global = list(bits(mask))
-            got = [local_to_global[v] for v in _removable_vertices(sub)]
+            got = [local_to_global[v] for v in range(sub.n)
+                   if is_removable(sub, v)]
             removable_cache[mask] = got
         return got
 

@@ -18,24 +18,50 @@ from .discovery import _as_finder, cost_vector, learn_skeleton
 from .errors import CapacityError
 from .graph import bits
 
-VI_CAP = 20
+INITIALIZERS = ("random", "mb_size_sort", "mb_recursive")
 
 
+# One settings class per searcher: its fields are the searcher's only
+# keys, types and defaults, in the library and in the harness alike.
 @dataclass(frozen=True)
 class HcConfig:
     max_iter: int = 20
     max_swap: int = 10
     initializer: str = "mb_size_sort"
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.max_swap < 1:
-            raise ValueError("max_swap must be at least 1")
-        if self.initializer not in ("random", "mb_size_sort",
-                                    "mb_recursive"):
+        for name in ("max_iter", "max_swap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.initializer not in INITIALIZERS:
             raise ValueError(f"unknown initializer {self.initializer!r}")
+
+
+@dataclass(frozen=True)
+class ViConfig:
+    cap: int = 20
+
+    def __post_init__(self):
+        if self.cap < 1:
+            raise ValueError("cap must be at least 1")
+
+
+@dataclass(frozen=True)
+class PgConfig:
+    episodes: int = 500
+    learning_rate: float = 0.5
+    batch_size: int = 10
+    num_buckets: int = 4
+    temperature: float = 1.0
+
+    def __post_init__(self):
+        for name in ("episodes", "batch_size", "num_buckets"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be positive")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError("learning_rate must be finite")
 
 
 @dataclass(frozen=True)
@@ -90,7 +116,8 @@ def initialize_order(tester, mode, *, rng=None, seed=None, finder=None):
     raise ValueError(f"unknown initializer {mode!r}")
 
 
-def hill_climb(tester, config=None, *, initial_order=None, finder=None):
+def hill_climb(tester, config=None, *, seed=None, initial_order=None,
+               finder=None):
     """Greedy first-improvement search over bounded transpositions.
 
     Scans position pairs (a, b), ascending a then b, with
@@ -98,7 +125,7 @@ def hill_climb(tester, config=None, *, initial_order=None, finder=None):
     restricted to positions [a, b] strictly decreases (entries outside
     the window are unaffected by the swap), and the scan restarts.
     Stops after max_iter accepted swaps or one full scan without
-    improvement.
+    improvement.  ``seed`` drives the random initializer.
     """
     cfg = config if config is not None else HcConfig()
     finder = _as_finder(tester, finder)
@@ -112,7 +139,7 @@ def hill_climb(tester, config=None, *, initial_order=None, finder=None):
                              f"{initial_order!r}")
     else:
         order = list(initialize_order(tester, cfg.initializer,
-                                      seed=cfg.seed, finder=finder))
+                                      seed=seed, finder=finder))
     costs = cost_vector(order, tester, finder=finder)
     trace = [(0, sum(costs), None)]
     for iteration in range(1, cfg.max_iter + 1):
@@ -151,13 +178,14 @@ class ViResult:
     actions: np.ndarray
 
 
-def value_iteration(tester, *, cap=VI_CAP, finder=None):
+def value_iteration(tester, config=None, *, finder=None):
     """Exact minimum-cost order via dynamic programming over subsets.
 
     value(s) = min over a in s of |neighbors(a, s)| + value(s without a),
     with singleton and empty states free.  Ties go to the smallest
     vertex index, so the unrolled order is deterministic.
     """
+    cap = (config if config is not None else ViConfig()).cap
     finder = _as_finder(tester, finder)
     n = finder.n
     if n > cap:
@@ -194,7 +222,8 @@ class SoftmaxPolicy:
     eliminated vertices get zero probability.
     """
 
-    def __init__(self, n, num_buckets=4, temperature=1.0):
+    def __init__(self, n, num_buckets=PgConfig.num_buckets,
+                 temperature=PgConfig.temperature):
         if n < 1:
             raise ValueError("need at least one vertex")
         self.n = n
@@ -270,9 +299,7 @@ class PgResult:
     policy: SoftmaxPolicy
 
 
-def policy_gradient(tester, episodes=500, learning_rate=0.5, seed=0, *,
-                    batch_size=10, num_buckets=4, temperature=1.0,
-                    finder=None):
+def policy_gradient(tester, config=None, *, seed=0, finder=None):
     """REINFORCE over elimination orders with a linear baseline.
 
     Runs ``episodes`` sampled eliminations in batches; after each batch,
@@ -281,17 +308,16 @@ def policy_gradient(tester, episodes=500, learning_rate=0.5, seed=0, *,
     step on the advantages.  Returns the best order observed and the
     per-episode total-reward curve.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be at least 1")
+    cfg = config if config is not None else PgConfig()
     finder = _as_finder(tester, finder)
     n = finder.n
-    policy = SoftmaxPolicy(n, num_buckets, temperature)
+    policy = SoftmaxPolicy(n, cfg.num_buckets, cfg.temperature)
     rng = np.random.default_rng(seed)
     rewards = []
     best_order, best_cost = None, None
     done = 0
-    while done < episodes:
-        batch = min(batch_size, episodes - done)
+    while done < cfg.episodes:
+        batch = min(cfg.batch_size, cfg.episodes - done)
         batch_steps = []
         feats, gains = [], []
         for _ in range(batch):
@@ -322,7 +348,7 @@ def policy_gradient(tester, episodes=500, learning_rate=0.5, seed=0, *,
         grad /= batch
         if not np.all(np.isfinite(grad)):
             raise ArithmeticError("non-finite policy gradient")
-        policy.set_flat(policy.flat() + learning_rate * grad)
+        policy.set_flat(policy.flat() + cfg.learning_rate * grad)
     return PgResult(best_order, best_cost, tuple(rewards), policy)
 
 

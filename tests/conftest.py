@@ -97,31 +97,6 @@ def vertex_list(mask):
     return list(bits(mask))
 
 
-def dag_mec_members(g):
-    """All DAGs with the same skeleton and unshielded colliders as ``g``."""
-    edges = sorted(g.skeleton_edges())
-    members = []
-    target = _unshielded_colliders(g)
-    for pick in range(1 << len(edges)):
-        directed = [(u, v) if not (pick >> i) & 1 else (v, u)
-                    for i, (u, v) in enumerate(edges)]
-        cand = MixedGraph(g.n, directed)
-        if cand.is_dag() and _unshielded_colliders(cand) == target:
-            members.append(cand)
-    return members
-
-
-def _unshielded_colliders(dag):
-    out = set()
-    for z in range(dag.n):
-        parents = [u for u in range(dag.n) if (dag.parents_mask(z) >> u) & 1]
-        for i, x in enumerate(parents):
-            for y in parents[i + 1:]:
-                if not dag.has_skeleton_edge(x, y):
-                    out.add((x, z, y))
-    return out
-
-
 def mag_mec_members(g):
     """All Markov-equivalent maximal ancestral graphs sharing ``g``'s
     skeleton (equivalent graphs cannot differ in skeleton)."""

@@ -19,6 +19,7 @@ from magorder import (
     MixedGraph,
     NeighborFinder,
     OracleCiTester,
+    PgConfig,
     SoftmaxPolicy,
     cost_vector,
     enumerate_c_orders,
@@ -30,9 +31,10 @@ from magorder import (
     value_iteration,
 )
 from magorder.cli import ExperimentConfig, run
+from magorder.graph import markov_equivalent_dags
 from magorder.search import expected_cost, score_gradient_samples
 
-from conftest import dag_mec_members, random_dag, random_mag
+from conftest import random_dag, random_mag
 
 
 def exhaustive_instances():
@@ -104,7 +106,7 @@ def test_order_sets_respect_markov_equivalence():
     for _ in range(100):
         n = int(rng.integers(3, 7))
         g = random_dag(rng, n, 0.35)
-        members = dag_mec_members(g)
+        members = markov_equivalent_dags(g)
         members_seen += len(members)
         r_sets = [set(enumerate_r_orders(m)) for m in members]
         c_sets = [set(enumerate_c_orders(m)) for m in members]
@@ -160,9 +162,9 @@ def test_hill_climb_monotone_and_reaches_exact_optimum():
         tester = OracleCiTester(g)
         finder = NeighborFinder(tester)
         cfg = HcConfig(max_iter=200, max_swap=min(10, n - 1),
-                       initializer="mb_size_sort",
-                       seed=int(rng.integers(2 ** 31)))
-        res = hill_climb(tester, cfg, finder=finder)
+                       initializer="mb_size_sort")
+        res = hill_climb(tester, cfg, seed=int(rng.integers(2 ** 31)),
+                         finder=finder)
         costs = [c for _, c, _ in res.trace]
         assert all(y <= x for x, y in zip(costs, costs[1:]))
         opt = value_iteration(tester, finder=finder).total_cost
@@ -206,8 +208,8 @@ def test_incremental_swap_costing_matches_full_recomputation():
         tester = OracleCiTester(g)
         finder = NeighborFinder(tester)
         cfg = HcConfig(max_iter=20, max_swap=min(10, n - 1),
-                       initializer="random", seed=1000 + k)
-        res = hill_climb(tester, cfg, finder=finder)
+                       initializer="random")
+        res = hill_climb(tester, cfg, seed=1000 + k, finder=finder)
         start = initialize_order(tester, "random", seed=1000 + k,
                                  finder=finder)
         ref_order, ref_trace = full_recompute_hill_climb(
@@ -293,7 +295,7 @@ def test_policy_search_reaches_optimum_and_gradient_is_unbiased(chain3):
         finder = NeighborFinder(tester)
         opt = value_iteration(tester, finder=finder).total_cost
         hits = sum(
-            policy_gradient(tester, episodes=500, seed=s,
+            policy_gradient(tester, PgConfig(episodes=500), seed=s,
                             finder=finder).best_cost == opt
             for s in range(10))
         assert hits >= 9, f"{hits}/10 seeds reached {opt}"

@@ -108,6 +108,30 @@ class TestExperimentConfig:
          "searcher": {"kind": "vi", "max_iter": 5}},
         {"graph": {"kind": "bundled", "name": "asia"},
          "searcher": {"kind": "hc", "episodes": 10}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "batch_size": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "temperature": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "temperature": -1.0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "num_buckets": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "learning_rate": float("nan")}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "pg", "episodes": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "vi", "cap": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "tester": {"kind": "oracle", "alpha": 0.1}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "initializer": "nope"}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_iter": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_swap": 0}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "hc", "max_swap": -3}},
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -161,6 +185,31 @@ class TestRun:
         a["config"].pop("workers")
         b["config"].pop("workers")
         assert a == b
+
+    @pytest.mark.parametrize("graph, tester, searcher", [
+        ({"kind": "er", "n": 12, "p": 0.4}, {"kind": "oracle"},
+         {"kind": "hc", "max_iter": 20, "max_swap": 10,
+          "initializer": "mb_size_sort"}),
+        ({"kind": "er", "n": 8, "p": 0.4}, {"kind": "oracle"},
+         {"kind": "vi", "cap": 20}),
+        ({"kind": "er", "n": 6, "p": 0.4}, {"kind": "oracle"},
+         {"kind": "pg", "episodes": 500, "learning_rate": 0.5,
+          "batch_size": 10, "num_buckets": 4, "temperature": 1.0}),
+        ({"kind": "er", "n": 8, "p": 0.3},
+         {"kind": "fisher_z", "alpha": 0.01, "num_samples": 400,
+          "standardize": False},
+         {"kind": "hc"}),
+    ])
+    def test_spelled_out_defaults_change_nothing(self, graph, tester,
+                                                 searcher):
+        spelled = {"graph": graph, "tester": tester, "searcher": searcher,
+                   "replications": 2, "seed": 1}
+        bare = dict(spelled, tester={"kind": tester["kind"]},
+                    searcher={"kind": searcher["kind"]})
+        rows = [strip_volatile(run(ExperimentConfig.from_dict(raw)))[
+            "replications"] for raw in (spelled, bare)]
+        assert rows[0] == rows[1]
+        assert all(row["error"] is None for row in rows[0])
 
     def test_aggregate_matches_rows(self):
         cfg = ExperimentConfig(graph={"kind": "er", "n": 6, "p": 0.5},
@@ -309,6 +358,14 @@ class TestMain:
             "tester": {"kind": "fisher_z", "alpha": "0.1"}}))
         assert main(["run", "--config", str(path)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_unknown_initializer_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps({
+            "graph": {"kind": "er", "n": 4, "p": 0.5},
+            "searcher": {"kind": "hc", "initializer": "nope"}}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "nope" in capsys.readouterr().err
 
     def test_too_few_fisher_z_samples_exit_2(self, capsys):
         # alarm has 37 variables; the Markov boundaries need over 38 samples.

@@ -10,6 +10,7 @@ from magorder.graph import (
     is_ancestral,
     is_maximal,
     latent_projection,
+    markov_equivalent_dags,
     mask_of,
 )
 from magorder.orders import (
@@ -19,7 +20,7 @@ from magorder.orders import (
     is_r_order,
 )
 
-from conftest import dag_mec_members, mag_mec_members, random_dag, random_mag
+from conftest import mag_mec_members, random_dag, random_mag
 
 
 class TestWorkedExamples:
@@ -114,7 +115,7 @@ class TestProperties:
         rng = np.random.default_rng(67)
         for _ in range(8):
             g = random_dag(rng, int(rng.integers(3, 6)), 0.5)
-            members = dag_mec_members(g)
+            members = markov_equivalent_dags(g)
             seen = {}
             for m in members:
                 for order in enumerate_c_orders(m):
@@ -125,7 +126,7 @@ class TestProperties:
         rng = np.random.default_rng(71)
         for _ in range(8):
             g = random_dag(rng, int(rng.integers(3, 6)), 0.5)
-            members = dag_mec_members(g)
+            members = markov_equivalent_dags(g)
             reference = enumerate_r_orders(g)
             for m in members:
                 assert enumerate_r_orders(m) == reference

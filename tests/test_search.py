@@ -8,6 +8,8 @@ from magorder.graph import MixedGraph
 from magorder.orders import is_r_order
 from magorder.search import (
     HcConfig,
+    PgConfig,
+    ViConfig,
     SoftmaxPolicy,
     expected_cost,
     hill_climb,
@@ -90,8 +92,8 @@ class TestHillClimb:
 
     def test_g1_any_start_is_optimal(self, g1):
         for seed in range(10):
-            cfg = HcConfig(max_swap=3, initializer="random", seed=seed)
-            res = hill_climb(OracleCiTester(g1), cfg)
+            cfg = HcConfig(max_swap=3, initializer="random")
+            res = hill_climb(OracleCiTester(g1), cfg, seed=seed)
             assert res.trace[-1][1] == 5
             assert len(res.trace) == 1
 
@@ -99,9 +101,9 @@ class TestHillClimb:
         rng = np.random.default_rng(67)
         for _ in range(10):
             g = random_dag(rng, 7, 0.4)
-            cfg = HcConfig(max_swap=4, initializer="random",
-                           seed=int(rng.integers(1 << 30)))
-            res = hill_climb(OracleCiTester(g), cfg)
+            cfg = HcConfig(max_swap=4, initializer="random")
+            res = hill_climb(OracleCiTester(g), cfg,
+                             seed=int(rng.integers(1 << 30)))
             costs = [c for _, c, _ in res.trace]
             assert all(a > b for a, b in zip(costs, costs[1:]))
             assert res.trace[-1][1] == res.skeleton.cost()
@@ -155,8 +157,8 @@ class TestHillClimb:
     def test_max_iter_caps_accepted_swaps(self):
         rng = np.random.default_rng(79)
         g = random_dag(rng, 8, 0.6)
-        cfg = HcConfig(max_iter=1, max_swap=7, initializer="random", seed=3)
-        res = hill_climb(OracleCiTester(g), cfg)
+        cfg = HcConfig(max_iter=1, max_swap=7, initializer="random")
+        res = hill_climb(OracleCiTester(g), cfg, seed=3)
         assert len(res.trace) <= 2
 
 
@@ -207,27 +209,30 @@ class TestValueIteration:
     def test_capacity_error(self):
         g = MixedGraph(5)
         with pytest.raises(CapacityError):
-            value_iteration(OracleCiTester(g), cap=4)
+            value_iteration(OracleCiTester(g), ViConfig(cap=4))
 
 
 class TestPolicyGradient:
     def test_chain_reaches_optimum(self, chain3):
         hits = 0
         for seed in range(10):
-            res = policy_gradient(OracleCiTester(chain3), episodes=500,
-                                  learning_rate=0.5, seed=seed)
+            res = policy_gradient(OracleCiTester(chain3),
+                                  PgConfig(episodes=500, learning_rate=0.5),
+                                  seed=seed)
             if res.best_cost == 2:
                 hits += 1
         assert hits >= 9
 
     def test_constant_reward_on_g1(self, g1):
-        res = policy_gradient(OracleCiTester(g1), episodes=40, seed=0)
+        res = policy_gradient(OracleCiTester(g1), PgConfig(episodes=40),
+                              seed=0)
         assert set(res.rewards) == {-5}
         assert res.best_cost == 5
 
     def test_zero_learning_rate_keeps_parameters(self, chain3):
-        res = policy_gradient(OracleCiTester(chain3), episodes=60,
-                              learning_rate=0.0, seed=1)
+        res = policy_gradient(OracleCiTester(chain3),
+                              PgConfig(episodes=60, learning_rate=0.0),
+                              seed=1)
         assert not res.policy.theta.any()
         assert not res.policy.phi.any()
 
@@ -235,7 +240,8 @@ class TestPolicyGradient:
         # collider chain: eliminating the middle first costs an extra edge
         g = MixedGraph(4, directed=[(0, 1), (2, 1), (2, 3)])
         tester = OracleCiTester(g)
-        res = policy_gradient(tester, episodes=800, learning_rate=0.4,
+        res = policy_gradient(tester,
+                              PgConfig(episodes=800, learning_rate=0.4),
                               seed=2)
         finder = NeighborFinder(tester)
         assert expected_cost(res.policy, finder) < \
@@ -275,4 +281,8 @@ class TestPolicyGradient:
 
     def test_invalid_episode_count(self, chain3):
         with pytest.raises(ValueError):
-            policy_gradient(OracleCiTester(chain3), episodes=0)
+            policy_gradient(OracleCiTester(chain3), PgConfig(episodes=0))
+
+    def test_invalid_batch_size(self):
+        with pytest.raises(ValueError):
+            PgConfig(batch_size=0)
