@@ -19,7 +19,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,7 +47,9 @@ from .search import (INITIALIZERS, HcConfig, PgConfig, ViConfig, hill_climb,
 
 SCHEMA_VERSION = 1
 
-GRAPH_KINDS = ("er", "file", "bundled")
+# The keys each graph kind takes besides ``kind``.
+GRAPH_KEYS = {"er": ("n", "p"), "file": ("path", "manifest"),
+              "bundled": ("name",)}
 
 
 @dataclass(frozen=True)
@@ -99,16 +101,21 @@ def _check_types(cls, values, where=""):
                               f"got {value!r}")
 
 
+def _check_keys(section, allowed, what):
+    """ConfigError naming the keys of ``section`` outside ``allowed``."""
+    extra = set(section) - set(allowed)
+    if extra:
+        raise ConfigError(f"unknown {what}: {sorted(extra)}")
+
+
 def _settings(table, section, role):
     """The settings object for a ``{"kind": ..., **settings}`` section."""
     kind = section.get("kind")
     if kind not in table:
         raise ConfigError(f"{role} kind must be one of {tuple(table)}")
     values = {k: v for k, v in section.items() if k != "kind"}
-    extra = set(values) - {f.name for f in fields(table[kind])}
-    if extra:
-        raise ConfigError(f"unknown {role} keys for kind {kind!r}: "
-                          f"{sorted(extra)}")
+    _check_keys(values, [f.name for f in fields(table[kind])],
+                f"{role} keys for kind {kind!r}")
     _check_types(table[kind], values, f"{role} ")
     try:
         return table[kind](**values)
@@ -141,9 +148,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _check_types(type(self), self.to_dict())
-        if self.graph.get("kind") not in GRAPH_KINDS:
-            raise ConfigError(f"graph kind must be one of {GRAPH_KINDS}")
-        kind = self.graph["kind"]
+        kind = self.graph.get("kind")
+        if kind not in GRAPH_KEYS:
+            raise ConfigError(f"graph kind must be one of {tuple(GRAPH_KEYS)}")
+        _check_keys(self.graph, ("kind", *GRAPH_KEYS[kind]),
+                    f"graph keys for kind {kind!r}")
         if kind == "er":
             n, p = self.graph.get("n"), self.graph.get("p")
             if not _fits(n, int) or n < 1:
@@ -153,13 +162,15 @@ class ExperimentConfig:
         elif kind == "file":
             if not self.graph.get("path"):
                 raise ConfigError("file graph needs a path")
-        elif not self.graph.get("name"):
-            raise ConfigError("bundled graph needs a name")
+        elif self.graph.get("name") not in bundled_networks():
+            raise ConfigError(f"bundled graph name must be one of "
+                              f"{bundled_networks()}")
         object.__setattr__(self, "tester_settings",
                            _settings(TESTERS, self.tester, "tester"))
         object.__setattr__(self, "searcher_settings",
                            _settings(SEARCHERS, self.searcher, "searcher"))
         if self.latent is not None:
+            _check_keys(self.latent, ("fraction", "count"), "latent keys")
             frac, count = self.latent.get("fraction"), self.latent.get(
                 "count")
             if (frac is None) == (count is None):
@@ -179,9 +190,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        extra = set(raw) - {f.name for f in fields(cls) if f.init}
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
+        _check_keys(raw, [f.name for f in fields(cls) if f.init],
+                    "config keys")
         if "graph" not in raw:
             raise ConfigError("config needs a graph section")
         return cls(**raw)
@@ -220,8 +230,7 @@ def _run_replication(config, index, seed_seq):
                 num_latent=config.latent.get("count"))
         tester = _build_tester(config, base, truth, observed,
                                sem_seed, data_seed)
-        order, skeleton, trace = _search(
-            config, tester, truth.n, search_seed)
+        order, skeleton, trace = _search(config, tester, search_seed)
         try:
             orient(skeleton, names=truth.names)
         except OrientationConflict as exc:
@@ -254,24 +263,20 @@ def _build_tester(config, base, truth, observed, sem_seed, data_seed):
     return FisherZCiTester(DataMatrix(values, names), alpha=cfg.alpha)
 
 
-def _search(config, tester, n, search_seed):
+def _search(config, tester, search_seed):
     finder = NeighborFinder(tester, config.max_sep_size)
     cfg = config.searcher_settings
     if isinstance(cfg, HcConfig):
-        # The swap window must stay below n; a lone vertex has no swaps.
-        cfg = replace(cfg, max_swap=min(cfg.max_swap, max(n - 1, 1)))
-        res = hill_climb(tester, cfg,
-                         seed=int(search_seed.generate_state(1)[0]),
-                         finder=finder)
+        res = hill_climb(finder, cfg,
+                         seed=int(search_seed.generate_state(1)[0]))
         return res.order, res.skeleton, [cost for _, cost, _ in res.trace]
     if isinstance(cfg, ViConfig):
-        res = value_iteration(tester, cfg, finder=finder)
-        skeleton = learn_skeleton(res.order, tester, finder=finder)
+        res = value_iteration(finder, cfg)
+        skeleton = learn_skeleton(res.order, finder)
         return res.order, skeleton, [res.total_cost]
-    res = policy_gradient(tester, cfg,
-                          seed=int(search_seed.generate_state(1)[0]),
-                          finder=finder)
-    skeleton = learn_skeleton(res.order, tester, finder=finder)
+    res = policy_gradient(finder, cfg,
+                          seed=int(search_seed.generate_state(1)[0]))
+    skeleton = learn_skeleton(res.order, finder)
     return res.order, skeleton, [-r for r in res.rewards]
 
 
@@ -370,12 +375,13 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _check_sample_size(config):
-    """Reject a Fisher-Z sample size too small for the total-conditioning
-    Markov boundaries, which condition each pair on every other observed
-    variable and so need more than ``observed + 1`` samples."""
+def _check_observed(config):
+    """Reject a latent spec that hides every vertex, and a Fisher-Z sample
+    size too small for the total-conditioning Markov boundaries, which
+    condition each pair on every other observed variable and so need more
+    than ``observed + 1`` samples."""
     num = getattr(config.tester_settings, "num_samples", None)
-    if num is None:
+    if config.latent is None and num is None:
         return
     n = config.graph["n"] if config.graph["kind"] == "er" \
         else _build_graph(config, None).n
@@ -384,7 +390,10 @@ def _check_sample_size(config):
     if hidden is None:
         hidden = round(latent.get("fraction", 0.0) * n)
     observed = n - hidden
-    if num <= observed + 1:
+    if observed < 1:
+        raise ConfigError(f"the latent spec hides {hidden} of {n} "
+                          f"vertices; at least one must stay observed")
+    if num is not None and num <= observed + 1:
         raise ConfigError(
             f"fisher_z needs more than observed + 1 = {observed + 1} "
             f"samples for the Markov boundaries, got {num}")
@@ -399,7 +408,7 @@ def run(config):
     remaining replications still run.
     """
     started = time.perf_counter()
-    _check_sample_size(config)
+    _check_observed(config)
     children = np.random.SeedSequence(config.seed).spawn(
         config.replications)
     jobs = [(config, i, child) for i, child in enumerate(children)]
@@ -448,18 +457,17 @@ def _small_instances(cap, rng):
 
 def _check_min_cost_orders(cap, rng):
     for g in _small_instances(cap, rng):
-        tester = OracleCiTester(g)
-        finder = NeighborFinder(tester)
+        finder = NeighborFinder(OracleCiTester(g))
         best, argmin = None, set()
         for order in itertools.permutations(range(g.n)):
-            cost = sum(cost_vector(order, tester, finder=finder))
+            cost = sum(cost_vector(order, finder))
             if best is None or cost < best:
                 best, argmin = cost, {order}
             elif cost == best:
                 argmin.add(order)
         if argmin != set(enumerate_r_orders(g)):
             return False, f"cost minimisers differ from r-orders on {g!r}"
-        vi = value_iteration(tester, finder=finder)
+        vi = value_iteration(finder)
         if vi.total_cost != best:
             return False, f"dynamic program missed the optimum on {g!r}"
     return True, ""
@@ -467,11 +475,10 @@ def _check_min_cost_orders(cap, rng):
 
 def _check_skeleton_recovery(cap, rng):
     for g in _small_instances(cap, rng):
-        tester = OracleCiTester(g)
-        finder = NeighborFinder(tester)
+        finder = NeighborFinder(OracleCiTester(g))
         true_edges = g.skeleton_edges()
         for order in itertools.permutations(range(g.n)):
-            learned = learn_skeleton(order, tester, finder=finder).edges
+            learned = learn_skeleton(order, finder).edges
             if is_r_order(g, order):
                 if learned != true_edges:
                     return False, f"r-order missed the skeleton on {g!r}"
@@ -482,8 +489,8 @@ def _check_skeleton_recovery(cap, rng):
 
 def _check_hill_climb(cap, rng):
     for g in _small_instances(cap, rng):
-        tester = OracleCiTester(g)
-        res = hill_climb(tester, HcConfig(max_swap=g.n - 1))
+        res = hill_climb(NeighborFinder(OracleCiTester(g)),
+                         HcConfig(max_swap=g.n - 1))
         costs = [cost for _, cost, _ in res.trace]
         if any(b >= a for a, b in zip(costs, costs[1:])):
             return False, "accepted swap did not decrease the cost"

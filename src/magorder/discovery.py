@@ -123,13 +123,6 @@ class NeighborFinder:
         return None
 
 
-def _as_finder(tester, finder, max_sep_size=None):
-    """``finder`` if given, else a new finder over ``tester``."""
-    if finder is not None:
-        return finder
-    return NeighborFinder(tester, max_sep_size)
-
-
 @dataclass(frozen=True)
 class SkeletonResult:
     """Undirected learned graph with bookkeeping from the elimination.
@@ -150,13 +143,13 @@ class SkeletonResult:
         return sum(self.counts)
 
 
-def learn_skeleton(order, tester, *, max_sep_size=None, finder=None):
-    """Eliminate along ``order``, connecting each vertex to its neighbors.
+def learn_skeleton(order, finder):
+    """Eliminate along ``order``, connecting each vertex to the neighbors
+    ``finder`` reports.
 
     Under an oracle the result always contains the true skeleton, with
     equality exactly when ``order`` eliminates only removable vertices.
     """
-    finder = _as_finder(tester, finder, max_sep_size)
     n = finder.n
     if sorted(order) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {order!r}")
@@ -176,8 +169,7 @@ def learn_skeleton(order, tester, *, max_sep_size=None, finder=None):
     return SkeletonResult(frozenset(edges), sepsets, tuple(counts))
 
 
-def cost_vector(order, tester, first=0, last=None, *,
-                max_sep_size=None, finder=None):
+def cost_vector(order, finder, first=0, last=None):
     """Per-position neighbor counts for positions ``first..last``.
 
     Runs the elimination with the same remaining-set semantics as
@@ -185,7 +177,6 @@ def cost_vector(order, tester, first=0, last=None, *,
     positions; entries outside the range are zero, and the final position
     always costs nothing.
     """
-    finder = _as_finder(tester, finder, max_sep_size)
     n = finder.n
     if sorted(order) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {order!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ci import markov_boundaries
-from .discovery import _as_finder, cost_vector, learn_skeleton
+from .discovery import cost_vector, learn_skeleton
 from .errors import CapacityError
 from .graph import bits
 
@@ -76,22 +76,20 @@ class HcResult:
     trace: tuple
 
 
-def initialize_order(tester, mode, *, rng=None, seed=None, finder=None):
-    """Starting order for local search.
+def initialize_order(finder, mode, *, seed=None):
+    """Starting order for local search over ``finder``'s variables.
 
-    random: uniform permutation.  mb_size_sort: ascending Markov-boundary
-    size, ties by vertex index.  mb_recursive: repeatedly pick the vertex
-    with the smallest boundary inside the remaining set whose boundary is
-    contained (minus the member itself) in each member's boundary — the
-    signature of a removable vertex — recomputing boundaries after every
-    pick, and falling back to the plain minimal-size pick when no vertex
-    qualifies.
+    random: uniform permutation drawn from ``seed``.  mb_size_sort:
+    ascending Markov-boundary size, ties by vertex index.  mb_recursive:
+    repeatedly pick the vertex with the smallest boundary inside the
+    remaining set whose boundary is contained (minus the member itself)
+    in each member's boundary — the signature of a removable vertex —
+    recomputing boundaries after every pick, and falling back to the
+    plain minimal-size pick when no vertex qualifies.
     """
-    finder = _as_finder(tester, finder)
     n = finder.n
     if mode == "random":
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         return tuple(int(v) for v in rng.permutation(n))
     if mode == "mb_size_sort":
         mb = finder.boundaries
@@ -101,7 +99,7 @@ def initialize_order(tester, mode, *, rng=None, seed=None, finder=None):
         out = []
         remaining = (1 << n) - 1
         while remaining.bit_count() > 1:
-            mb = markov_boundaries(tester, remaining)
+            mb = markov_boundaries(finder.tester, remaining)
             ranked = sorted(bits(remaining),
                             key=lambda v: (mb[v].bit_count(), v))
             pick = next(
@@ -116,31 +114,26 @@ def initialize_order(tester, mode, *, rng=None, seed=None, finder=None):
     raise ValueError(f"unknown initializer {mode!r}")
 
 
-def hill_climb(tester, config=None, *, seed=None, initial_order=None,
-               finder=None):
+def hill_climb(finder, config=None, *, seed=None, initial_order=None):
     """Greedy first-improvement search over bounded transpositions.
 
     Scans position pairs (a, b), ascending a then b, with
-    1 <= b - a <= max_swap; a swap is accepted as soon as the cost
+    1 <= b - a <= max_swap and b < n; a swap is accepted as soon as the cost
     restricted to positions [a, b] strictly decreases (entries outside
     the window are unaffected by the swap), and the scan restarts.
     Stops after max_iter accepted swaps or one full scan without
     improvement.  ``seed`` drives the random initializer.
     """
     cfg = config if config is not None else HcConfig()
-    finder = _as_finder(tester, finder)
     n = finder.n
-    if n > 1 and not cfg.max_swap < n:
-        raise ValueError(f"max_swap must be below n={n}")
     if initial_order is not None:
         order = list(initial_order)
         if sorted(order) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: "
                              f"{initial_order!r}")
     else:
-        order = list(initialize_order(tester, cfg.initializer,
-                                      seed=seed, finder=finder))
-    costs = cost_vector(order, tester, finder=finder)
+        order = list(initialize_order(finder, cfg.initializer, seed=seed))
+    costs = cost_vector(order, finder)
     trace = [(0, sum(costs), None)]
     for iteration in range(1, cfg.max_iter + 1):
         accepted = None
@@ -148,8 +141,7 @@ def hill_climb(tester, config=None, *, seed=None, initial_order=None,
             for b in range(a + 1, min(a + cfg.max_swap, n - 1) + 1):
                 cand = order.copy()
                 cand[a], cand[b] = cand[b], cand[a]
-                window = cost_vector(cand, tester, first=a, last=b,
-                                     finder=finder)
+                window = cost_vector(cand, finder, first=a, last=b)
                 if sum(window[a:b + 1]) < sum(costs[a:b + 1]):
                     order = cand
                     costs[a:b + 1] = window[a:b + 1]
@@ -160,7 +152,7 @@ def hill_climb(tester, config=None, *, seed=None, initial_order=None,
         if accepted is None:
             break
         trace.append((iteration, sum(costs), accepted))
-    skeleton = learn_skeleton(tuple(order), tester, finder=finder)
+    skeleton = learn_skeleton(tuple(order), finder)
     return HcResult(tuple(order), skeleton, tuple(trace))
 
 
@@ -178,7 +170,7 @@ class ViResult:
     actions: np.ndarray
 
 
-def value_iteration(tester, config=None, *, finder=None):
+def value_iteration(finder, config=None):
     """Exact minimum-cost order via dynamic programming over subsets.
 
     value(s) = min over a in s of |neighbors(a, s)| + value(s without a),
@@ -186,7 +178,6 @@ def value_iteration(tester, config=None, *, finder=None):
     vertex index, so the unrolled order is deterministic.
     """
     cap = (config if config is not None else ViConfig()).cap
-    finder = _as_finder(tester, finder)
     n = finder.n
     if n > cap:
         raise CapacityError(f"n={n} exceeds the subset-table cap {cap}")
@@ -299,7 +290,7 @@ class PgResult:
     policy: SoftmaxPolicy
 
 
-def policy_gradient(tester, config=None, *, seed=0, finder=None):
+def policy_gradient(finder, config=None, *, seed=0):
     """REINFORCE over elimination orders with a linear baseline.
 
     Runs ``episodes`` sampled eliminations in batches; after each batch,
@@ -309,7 +300,6 @@ def policy_gradient(tester, config=None, *, seed=0, finder=None):
     per-episode total-reward curve.
     """
     cfg = config if config is not None else PgConfig()
-    finder = _as_finder(tester, finder)
     n = finder.n
     policy = SoftmaxPolicy(n, cfg.num_buckets, cfg.temperature)
     rng = np.random.default_rng(seed)

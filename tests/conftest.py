@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from magorder.ci import OracleCiTester
+from magorder.discovery import NeighborFinder
 from magorder.graph import (
     MixedGraph,
     ancestors,
@@ -34,6 +36,11 @@ def g2():
 def chain3():
     # X1 -> X2 -> X3
     return MixedGraph(3, directed=[(0, 1), (1, 2)])
+
+
+def oracle_finder(g):
+    """A fresh neighbor finder over the m-separation oracle of ``g``."""
+    return NeighborFinder(OracleCiTester(g))
 
 
 def submasks(mask):

@@ -51,7 +51,7 @@ def exhaustive_instances():
         finder = NeighborFinder(OracleCiTester(g))
         rows = []
         for order in itertools.permutations(range(n)):
-            res = learn_skeleton(order, OracleCiTester(g), finder=finder)
+            res = learn_skeleton(order, finder)
             rows.append((order, res.edges))
         out.append((g, rows))
     return out
@@ -128,14 +128,12 @@ def test_exact_search_matches_brute_force_and_label_permutation():
             n = 4 + k % 4
             g = (random_dag(rng, n, 0.4) if k % 2 == 0
                  else random_mag(rng, n, n + 2, 0.3))
-            tester = OracleCiTester(g)
-            finder = NeighborFinder(tester)
-            res = value_iteration(tester, finder=finder)
-            brute = min(sum(cost_vector(p, tester, finder=finder))
+            finder = NeighborFinder(OracleCiTester(g))
+            res = value_iteration(finder)
+            brute = min(sum(cost_vector(p, finder))
                         for p in itertools.permutations(range(n)))
             assert res.total_cost == brute
-            assert sum(cost_vector(res.order, tester,
-                                   finder=finder)) == brute
+            assert sum(cost_vector(res.order, finder)) == brute
         else:
             n = 8 + k % 3
             g = (random_dag(rng, n, 0.3) if k % 2 == 0
@@ -145,8 +143,8 @@ def test_exact_search_matches_brute_force_and_label_permutation():
                 n,
                 directed=[(perm[u], perm[v]) for u, v in g.directed],
                 bidirected=[(perm[u], perm[v]) for u, v in g.bidirected])
-            a = value_iteration(OracleCiTester(g))
-            b = value_iteration(OracleCiTester(h))
+            a = value_iteration(NeighborFinder(OracleCiTester(g)))
+            b = value_iteration(NeighborFinder(OracleCiTester(h)))
             assert a.total_cost == b.total_cost
 
 
@@ -159,27 +157,25 @@ def test_hill_climb_monotone_and_reaches_exact_optimum():
     for _ in range(50):
         n = int(rng.integers(6, 16))
         g = random_dag(rng, n, n ** -0.9)
-        tester = OracleCiTester(g)
-        finder = NeighborFinder(tester)
+        finder = NeighborFinder(OracleCiTester(g))
         cfg = HcConfig(max_iter=200, max_swap=min(10, n - 1),
                        initializer="mb_size_sort")
-        res = hill_climb(tester, cfg, seed=int(rng.integers(2 ** 31)),
-                         finder=finder)
+        res = hill_climb(finder, cfg, seed=int(rng.integers(2 ** 31)))
         costs = [c for _, c, _ in res.trace]
         assert all(y <= x for x, y in zip(costs, costs[1:]))
-        opt = value_iteration(tester, finder=finder).total_cost
+        opt = value_iteration(finder).total_cost
         assert costs[-1] >= opt
         hits += costs[-1] == opt
     assert hits >= 45
 
 
-def full_recompute_hill_climb(start, tester, finder, max_iter, max_swap):
+def full_recompute_hill_climb(start, finder, max_iter, max_swap):
     """First-improvement transposition search that re-derives the whole
     cost vector after every candidate swap — the reference the windowed
     incremental implementation must agree with, decision for decision."""
     order = list(start)
     n = len(order)
-    total = sum(cost_vector(order, tester, finder=finder))
+    total = sum(cost_vector(order, finder))
     trace = [(0, total, None)]
     for iteration in range(1, max_iter + 1):
         accepted = None
@@ -187,7 +183,7 @@ def full_recompute_hill_climb(start, tester, finder, max_iter, max_swap):
             for b in range(a + 1, min(a + max_swap, n - 1) + 1):
                 cand = order.copy()
                 cand[a], cand[b] = cand[b], cand[a]
-                cand_total = sum(cost_vector(cand, tester, finder=finder))
+                cand_total = sum(cost_vector(cand, finder))
                 if cand_total < total:
                     order, total, accepted = cand, cand_total, (a, b)
                     break
@@ -205,15 +201,13 @@ def test_incremental_swap_costing_matches_full_recomputation():
         n = 5 + k % 5
         g = (random_dag(rng, n, 0.45) if k % 2 == 0
              else random_mag(rng, n, n + 2, 0.3))
-        tester = OracleCiTester(g)
-        finder = NeighborFinder(tester)
+        finder = NeighborFinder(OracleCiTester(g))
         cfg = HcConfig(max_iter=20, max_swap=min(10, n - 1),
                        initializer="random")
-        res = hill_climb(tester, cfg, seed=1000 + k, finder=finder)
-        start = initialize_order(tester, "random", seed=1000 + k,
-                                 finder=finder)
+        res = hill_climb(finder, cfg, seed=1000 + k)
+        start = initialize_order(finder, "random", seed=1000 + k)
         ref_order, ref_trace = full_recompute_hill_climb(
-            start, tester, finder, cfg.max_iter, cfg.max_swap)
+            start, finder, cfg.max_iter, cfg.max_swap)
         assert res.order == ref_order
         assert res.trace == ref_trace
 
@@ -291,12 +285,11 @@ def test_policy_search_reaches_optimum_and_gradient_is_unbiased(chain3):
     # seeds within 500 episodes, on a 3-chain and a 5-vertex instance.
     five = random_dag(np.random.default_rng(11), 5, 0.4)
     for g in (chain3, five):
-        tester = OracleCiTester(g)
-        finder = NeighborFinder(tester)
-        opt = value_iteration(tester, finder=finder).total_cost
+        finder = NeighborFinder(OracleCiTester(g))
+        opt = value_iteration(finder).total_cost
         hits = sum(
-            policy_gradient(tester, PgConfig(episodes=500), seed=s,
-                            finder=finder).best_cost == opt
+            policy_gradient(finder, PgConfig(episodes=500),
+                            seed=s).best_cost == opt
             for s in range(10))
         assert hits >= 9, f"{hits}/10 seeds reached {opt}"
 

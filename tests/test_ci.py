@@ -11,7 +11,7 @@ from magorder.ci import (
     markov_boundaries,
 )
 from magorder.data import load_bundled, random_sem, sample_sem
-from magorder.discovery import learn_skeleton
+from magorder.discovery import NeighborFinder, learn_skeleton
 from magorder.errors import CiNumericalError
 from magorder.graph import MixedGraph, bits, mask_of
 
@@ -125,7 +125,7 @@ class TestFisherZ:
         data = sample_sem(random_sem(dag, seed=1), 400, seed=2)
         t = FisherZCiTester(data, alpha=1e-300)
         assert t._threshold == math.inf
-        assert learn_skeleton(range(dag.n), t).edges == set()
+        assert learn_skeleton(range(dag.n), NeighborFinder(t)).edges == set()
         assert t.test(0, 1) is True
 
     def test_accepts_raw_arrays_and_data_matrix(self):

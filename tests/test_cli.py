@@ -132,6 +132,10 @@ class TestExperimentConfig:
          "searcher": {"kind": "hc", "max_swap": 0}},
         {"graph": {"kind": "bundled", "name": "asia"},
          "searcher": {"kind": "hc", "max_swap": -3}},
+        {"graph": {"kind": "bundled", "name": "nope"}},
+        {"graph": {"kind": "er", "n": 5, "p": 0.3, "nn": 7}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "latent": {"count": 1, "typo": 2}},
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -346,6 +350,8 @@ class TestMain:
         ["run", "--config", "/nonexistent/config.json"],
         ["run", "--er", "4", "0.4", "--vi-cap", "5"],
         ["score", "/nonexistent/a.edges", "/nonexistent/b.edges"],
+        ["run", "--er", "3", "0.5", "--latent-count", "3"],
+        ["run", "--er", "5", "0.5", "--latent-fraction", "0.99"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         assert main(argv) == 2

@@ -21,7 +21,7 @@ from magorder.data import (
     score,
     standardize_sem,
 )
-from magorder.discovery import learn_skeleton, orient
+from magorder.discovery import NeighborFinder, learn_skeleton, orient
 from magorder.errors import EdgeListParseError
 from magorder.graph import (
     MixedGraph,
@@ -316,7 +316,7 @@ class TestScore:
     def test_accepts_learned_structures(self):
         g = MixedGraph(4, directed=[(0, 2), (1, 2), (2, 3)])
         tester = OracleCiTester(g)
-        skel = learn_skeleton((3, 2, 1, 0), tester)
+        skel = learn_skeleton((3, 2, 1, 0), NeighborFinder(tester))
         assert score(skel, g).shd == 0
         pag = orient(skel)
         assert score(pag, g).shd == 0

@@ -22,7 +22,8 @@ from magorder.graph import (
 )
 from magorder.orders import enumerate_r_orders, is_r_order
 
-from conftest import mag_mec_members, random_dag, random_mag, submasks
+from conftest import (mag_mec_members, oracle_finder, random_dag, random_mag,
+                      submasks)
 
 
 def brute_neighbors(g, x, remaining):
@@ -186,18 +187,18 @@ class TestCiNeighbors:
 
 class TestLearnSkeleton:
     def test_g1_c_order_recovers_skeleton(self, g1):
-        res = learn_skeleton((0, 1, 2, 3), OracleCiTester(g1))
+        res = learn_skeleton((0, 1, 2, 3), oracle_finder(g1))
         assert res.edges == g1.skeleton_edges()
         assert res.counts == (3, 2, 0, 0)
         assert res.cost() == 5
 
     def test_chain_bad_order_adds_edge(self, chain3):
-        res = learn_skeleton((1, 0, 2), OracleCiTester(chain3))
+        res = learn_skeleton((1, 0, 2), oracle_finder(chain3))
         assert res.edges == frozenset({(0, 1), (1, 2), (0, 2)})
         assert res.counts == (2, 1, 0)
 
     def test_chain_good_order_exact(self, chain3):
-        res = learn_skeleton((0, 1, 2), OracleCiTester(chain3))
+        res = learn_skeleton((0, 1, 2), oracle_finder(chain3))
         assert res.edges == chain3.skeleton_edges()
         assert res.counts == (1, 1, 0)
 
@@ -207,7 +208,7 @@ class TestLearnSkeleton:
             g = random_dag(rng, 5, 0.5)
             tester = OracleCiTester(g)
             order = tuple(int(v) for v in rng.permutation(5))
-            res = learn_skeleton(order, tester)
+            res = learn_skeleton(order, NeighborFinder(tester))
             assert res.edges >= g.skeleton_edges()
             assert (res.edges == g.skeleton_edges()) == is_r_order(g, order)
 
@@ -216,7 +217,7 @@ class TestLearnSkeleton:
         for _ in range(12):
             g = random_mag(rng, 4, 6, 0.5)
             order = tuple(int(v) for v in rng.permutation(4))
-            res = learn_skeleton(order, OracleCiTester(g))
+            res = learn_skeleton(order, oracle_finder(g))
             assert res.edges >= g.skeleton_edges()
             assert (res.edges == g.skeleton_edges()) == is_r_order(g, order)
 
@@ -225,7 +226,7 @@ class TestLearnSkeleton:
         for _ in range(10):
             g = random_dag(rng, 6, 0.4)
             order = tuple(int(v) for v in rng.permutation(6))
-            res = learn_skeleton(order, OracleCiTester(g))
+            res = learn_skeleton(order, oracle_finder(g))
             pairs = {(u, v) for u in range(6) for v in range(u + 1, 6)}
             assert set(res.sepsets) == pairs - res.edges
             for (u, v), z in res.sepsets.items():
@@ -236,34 +237,34 @@ class TestLearnSkeleton:
         for _ in range(10):
             g = random_mag(rng, 5, 7, 0.45)
             order = tuple(int(v) for v in rng.permutation(5))
-            res = learn_skeleton(order, OracleCiTester(g))
+            res = learn_skeleton(order, oracle_finder(g))
             assert sum(res.counts) == len(res.edges)
 
     def test_rejects_non_permutation(self, g1):
         with pytest.raises(ValueError):
-            learn_skeleton((0, 1, 2), OracleCiTester(g1))
+            learn_skeleton((0, 1, 2), oracle_finder(g1))
         with pytest.raises(ValueError):
-            learn_skeleton((0, 1, 2, 2), OracleCiTester(g1))
+            learn_skeleton((0, 1, 2, 2), oracle_finder(g1))
 
     def test_shared_finder_reuses_memo(self, g1):
         finder = NeighborFinder(OracleCiTester(g1))
-        learn_skeleton((0, 1, 2, 3), OracleCiTester(g1), finder=finder)
+        learn_skeleton((0, 1, 2, 3), finder)
         size = memo_size(finder)
-        learn_skeleton((0, 1, 2, 3), OracleCiTester(g1), finder=finder)
+        learn_skeleton((0, 1, 2, 3), finder)
         assert memo_size(finder) == size
 
 
 class TestCostVector:
     def test_chain_full_range(self, chain3):
-        tester = OracleCiTester(chain3)
-        assert cost_vector((2, 1, 0), tester) == [1, 1, 0]
-        assert cost_vector((0, 1, 2), tester) == [1, 1, 0]
-        assert cost_vector((1, 0, 2), tester) == [2, 1, 0]
+        finder = oracle_finder(chain3)
+        assert cost_vector((2, 1, 0), finder) == [1, 1, 0]
+        assert cost_vector((0, 1, 2), finder) == [1, 1, 0]
+        assert cost_vector((1, 0, 2), finder) == [2, 1, 0]
 
     def test_partial_range_skips_prefix_cost(self, chain3):
-        tester = OracleCiTester(chain3)
-        assert cost_vector((1, 0, 2), tester, first=1, last=2) == [0, 1, 0]
-        assert cost_vector((1, 0, 2), tester, first=2, last=2) == [0, 0, 0]
+        finder = oracle_finder(chain3)
+        assert cost_vector((1, 0, 2), finder, first=1, last=2) == [0, 1, 0]
+        assert cost_vector((1, 0, 2), finder, first=2, last=2) == [0, 0, 0]
 
     def test_matches_learned_counts(self):
         rng = np.random.default_rng(31)
@@ -271,17 +272,18 @@ class TestCostVector:
             g = random_dag(rng, 6, 0.5)
             tester = OracleCiTester(g)
             order = tuple(int(v) for v in rng.permutation(6))
-            full = cost_vector(order, tester)
-            assert tuple(full) == learn_skeleton(order, tester).counts
+            full = cost_vector(order, NeighborFinder(tester))
+            assert tuple(full) == learn_skeleton(
+                order, NeighborFinder(tester)).counts
 
     def test_range_validation(self, chain3):
-        tester = OracleCiTester(chain3)
+        finder = oracle_finder(chain3)
         with pytest.raises(ValueError):
-            cost_vector((0, 1, 2), tester, first=2, last=1)
+            cost_vector((0, 1, 2), finder, first=2, last=1)
         with pytest.raises(ValueError):
-            cost_vector((0, 1, 2), tester, first=-1)
+            cost_vector((0, 1, 2), finder, first=-1)
         with pytest.raises(ValueError):
-            cost_vector((0, 1, 2), tester, first=0, last=3)
+            cost_vector((0, 1, 2), finder, first=0, last=3)
 
 
 def member_mark(g, a, b):
@@ -309,7 +311,7 @@ def mec_intersection_marks(g):
 
 def oracle_pag(g):
     order = enumerate_r_orders(g)[0]
-    return orient(learn_skeleton(order, OracleCiTester(g)))
+    return orient(learn_skeleton(order, oracle_finder(g)))
 
 
 class TestOrient:
@@ -414,7 +416,7 @@ class TestOrient:
         rng = np.random.default_rng(47)
         data = DataMatrix(sem_samples(rng, g, 4000))
         tester = FisherZCiTester(data, alpha=0.01)
-        res = learn_skeleton((0, 1, 2), tester)
+        res = learn_skeleton((0, 1, 2), NeighborFinder(tester))
         assert res.edges == frozenset({(0, 1), (1, 2)})
         pag = orient(res)
         assert pag.marks_table() == {

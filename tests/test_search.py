@@ -19,41 +19,40 @@ from magorder.search import (
     value_iteration,
 )
 
-from conftest import random_dag, random_mag
+from conftest import oracle_finder, random_dag, random_mag
 
 
 def brute_min_cost(g):
     from itertools import permutations
-    tester = OracleCiTester(g)
-    finder = NeighborFinder(tester)
-    return min(sum(cost_vector(p, tester, finder=finder))
+    finder = oracle_finder(g)
+    return min(sum(cost_vector(p, finder))
                for p in permutations(range(g.n)))
 
 
 class TestInitializeOrder:
     def test_chain_mb_size_sort(self, chain3):
-        got = initialize_order(OracleCiTester(chain3), "mb_size_sort")
+        got = initialize_order(oracle_finder(chain3), "mb_size_sort")
         assert got == (0, 2, 1)
 
     def test_g1_mb_sizes_all_tie(self, g1):
-        got = initialize_order(OracleCiTester(g1), "mb_size_sort")
+        got = initialize_order(oracle_finder(g1), "mb_size_sort")
         assert got == (0, 1, 2, 3)
 
     def test_random_is_seeded_permutation(self, g1):
-        a = initialize_order(OracleCiTester(g1), "random", seed=5)
-        b = initialize_order(OracleCiTester(g1), "random", seed=5)
+        a = initialize_order(oracle_finder(g1), "random", seed=5)
+        b = initialize_order(oracle_finder(g1), "random", seed=5)
         assert a == b
         assert sorted(a) == [0, 1, 2, 3]
 
     def test_single_vertex(self):
         g = MixedGraph(1)
         for mode in ("random", "mb_size_sort", "mb_recursive"):
-            assert initialize_order(OracleCiTester(g), mode, seed=0) == (0,)
+            assert initialize_order(oracle_finder(g), mode, seed=0) == (0,)
 
     def test_mb_recursive_golden_cases(self, chain3, g1):
-        assert initialize_order(OracleCiTester(chain3),
+        assert initialize_order(oracle_finder(chain3),
                                 "mb_recursive") == (0, 1, 2)
-        assert initialize_order(OracleCiTester(g1),
+        assert initialize_order(oracle_finder(g1),
                                 "mb_recursive") == (0, 1, 2, 3)
 
     def test_mb_recursive_is_valid_and_deterministic(self):
@@ -64,20 +63,21 @@ class TestInitializeOrder:
         for _ in range(15):
             g = random_dag(rng, 6, 0.45)
             tester = OracleCiTester(g)
-            order = initialize_order(tester, "mb_recursive")
+            order = initialize_order(NeighborFinder(tester), "mb_recursive")
             assert sorted(order) == list(range(6))
-            assert order == initialize_order(tester, "mb_recursive")
+            assert order == initialize_order(NeighborFinder(tester),
+                                             "mb_recursive")
             hits += is_r_order(g, order)
         assert hits >= 8
 
     def test_unknown_mode_rejected(self, g1):
         with pytest.raises(ValueError):
-            initialize_order(OracleCiTester(g1), "sorted_by_vibes")
+            initialize_order(oracle_finder(g1), "sorted_by_vibes")
 
 
 class TestHillClimb:
     def test_chain_worked_example(self, chain3):
-        res = hill_climb(OracleCiTester(chain3),
+        res = hill_climb(oracle_finder(chain3),
                          HcConfig(max_swap=2),
                          initial_order=(1, 0, 2))
         assert res.order == (0, 1, 2)
@@ -85,7 +85,7 @@ class TestHillClimb:
         assert res.skeleton.edges == chain3.skeleton_edges()
 
     def test_r_order_start_accepts_nothing(self, chain3):
-        res = hill_climb(OracleCiTester(chain3), HcConfig(max_swap=2),
+        res = hill_climb(oracle_finder(chain3), HcConfig(max_swap=2),
                          initial_order=(0, 1, 2))
         assert len(res.trace) == 1
         assert res.trace[0][1] == 2
@@ -93,7 +93,7 @@ class TestHillClimb:
     def test_g1_any_start_is_optimal(self, g1):
         for seed in range(10):
             cfg = HcConfig(max_swap=3, initializer="random")
-            res = hill_climb(OracleCiTester(g1), cfg, seed=seed)
+            res = hill_climb(oracle_finder(g1), cfg, seed=seed)
             assert res.trace[-1][1] == 5
             assert len(res.trace) == 1
 
@@ -102,7 +102,7 @@ class TestHillClimb:
         for _ in range(10):
             g = random_dag(rng, 7, 0.4)
             cfg = HcConfig(max_swap=4, initializer="random")
-            res = hill_climb(OracleCiTester(g), cfg,
+            res = hill_climb(oracle_finder(g), cfg,
                              seed=int(rng.integers(1 << 30)))
             costs = [c for _, c, _ in res.trace]
             assert all(a > b for a, b in zip(costs, costs[1:]))
@@ -112,17 +112,15 @@ class TestHillClimb:
         rng = np.random.default_rng(71)
         for _ in range(20):
             g = random_mag(rng, 6, 8, 0.4)
-            tester = OracleCiTester(g)
-            finder = NeighborFinder(tester)
+            finder = oracle_finder(g)
             order = [int(v) for v in rng.permutation(6)]
-            base = cost_vector(order, tester, finder=finder)
+            base = cost_vector(order, finder)
             for a in range(5):
                 for b in range(a + 1, 6):
                     cand = order.copy()
                     cand[a], cand[b] = cand[b], cand[a]
-                    window = cost_vector(cand, tester, first=a, last=b,
-                                         finder=finder)
-                    full = cost_vector(cand, tester, finder=finder)
+                    window = cost_vector(cand, finder, first=a, last=b)
+                    full = cost_vector(cand, finder)
                     assert full[:a] == base[:a]
                     assert full[b + 1:] == base[b + 1:]
                     incremental = sum(window[a:b + 1]) < sum(base[a:b + 1])
@@ -136,7 +134,7 @@ class TestHillClimb:
         for seed in range(20):
             g = random_dag(rng, 6, 6 ** -0.7)
             cfg = HcConfig(max_swap=5, initializer="mb_size_sort")
-            res = hill_climb(OracleCiTester(g), cfg)
+            res = hill_climb(oracle_finder(g), cfg)
             if res.trace[-1][1] == brute_min_cost(g):
                 hits += 1
         assert hits >= 17
@@ -149,74 +147,89 @@ class TestHillClimb:
         with pytest.raises(ValueError):
             HcConfig(initializer="bogus")
         with pytest.raises(ValueError):
-            hill_climb(OracleCiTester(chain3), HcConfig(max_swap=3))
-        with pytest.raises(ValueError):
-            hill_climb(OracleCiTester(chain3), HcConfig(max_swap=2),
+            hill_climb(oracle_finder(chain3), HcConfig(max_swap=2),
                        initial_order=(0, 1))
+
+    def test_swap_window_beyond_n_matches_full_window(self):
+        # the scan stops at the last position, so a window wider than the
+        # order changes nothing
+        rng = np.random.default_rng(67)
+        swapped = 0
+        for _ in range(5):
+            g = random_dag(rng, 7, 0.4)
+            seed = int(rng.integers(1 << 30))
+            wide = hill_climb(oracle_finder(g), HcConfig(
+                max_swap=g.n + 5, initializer="random"), seed=seed)
+            full = hill_climb(oracle_finder(g), HcConfig(
+                max_swap=g.n - 1, initializer="random"), seed=seed)
+            assert wide == full
+            swapped += len(full.trace) > 1
+        assert swapped >= 3
 
     def test_max_iter_caps_accepted_swaps(self):
         rng = np.random.default_rng(79)
         g = random_dag(rng, 8, 0.6)
         cfg = HcConfig(max_iter=1, max_swap=7, initializer="random")
-        res = hill_climb(OracleCiTester(g), cfg, seed=3)
+        res = hill_climb(oracle_finder(g), cfg, seed=3)
         assert len(res.trace) <= 2
 
 
 class TestValueIteration:
     def test_chain(self, chain3):
-        res = value_iteration(OracleCiTester(chain3))
+        res = value_iteration(oracle_finder(chain3))
         assert res.total_cost == 2
         assert res.order[0] in (0, 2)
-        assert sum(cost_vector(res.order, OracleCiTester(chain3))) == 2
+        assert sum(cost_vector(res.order, oracle_finder(chain3))) == 2
 
     def test_g1(self, g1):
-        res = value_iteration(OracleCiTester(g1))
+        res = value_iteration(oracle_finder(g1))
         assert res.total_cost == 5
 
     def test_edgeless(self):
-        res = value_iteration(OracleCiTester(MixedGraph(4)))
+        res = value_iteration(oracle_finder(MixedGraph(4)))
         assert res.total_cost == 0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(83)
         for _ in range(8):
             g = random_dag(rng, 6, 0.5)
-            res = value_iteration(OracleCiTester(g))
+            res = value_iteration(oracle_finder(g))
             assert res.total_cost == brute_min_cost(g)
 
     def test_matches_brute_force_on_mags(self):
         rng = np.random.default_rng(89)
         for _ in range(6):
             g = random_mag(rng, 6, 8, 0.4)
-            res = value_iteration(OracleCiTester(g))
+            res = value_iteration(oracle_finder(g))
             assert res.total_cost == brute_min_cost(g)
 
     def test_output_is_r_order(self):
         rng = np.random.default_rng(97)
         for _ in range(10):
             g = random_mag(rng, 6, 9, 0.4)
-            res = value_iteration(OracleCiTester(g))
+            res = value_iteration(oracle_finder(g))
             assert is_r_order(g, res.order)
 
     def test_unrolled_order_cost_equals_table_root(self):
         rng = np.random.default_rng(101)
         g = random_dag(rng, 7, 0.4)
         tester = OracleCiTester(g)
-        res = value_iteration(tester)
-        assert sum(cost_vector(res.order, tester)) == res.total_cost
+        res = value_iteration(NeighborFinder(tester))
+        assert sum(cost_vector(res.order, NeighborFinder(tester))) == \
+            res.total_cost
         assert res.values[(1 << g.n) - 1] == res.total_cost
 
     def test_capacity_error(self):
         g = MixedGraph(5)
         with pytest.raises(CapacityError):
-            value_iteration(OracleCiTester(g), ViConfig(cap=4))
+            value_iteration(oracle_finder(g), ViConfig(cap=4))
 
 
 class TestPolicyGradient:
     def test_chain_reaches_optimum(self, chain3):
         hits = 0
         for seed in range(10):
-            res = policy_gradient(OracleCiTester(chain3),
+            res = policy_gradient(oracle_finder(chain3),
                                   PgConfig(episodes=500, learning_rate=0.5),
                                   seed=seed)
             if res.best_cost == 2:
@@ -224,13 +237,13 @@ class TestPolicyGradient:
         assert hits >= 9
 
     def test_constant_reward_on_g1(self, g1):
-        res = policy_gradient(OracleCiTester(g1), PgConfig(episodes=40),
+        res = policy_gradient(oracle_finder(g1), PgConfig(episodes=40),
                               seed=0)
         assert set(res.rewards) == {-5}
         assert res.best_cost == 5
 
     def test_zero_learning_rate_keeps_parameters(self, chain3):
-        res = policy_gradient(OracleCiTester(chain3),
+        res = policy_gradient(oracle_finder(chain3),
                               PgConfig(episodes=60, learning_rate=0.0),
                               seed=1)
         assert not res.policy.theta.any()
@@ -240,7 +253,7 @@ class TestPolicyGradient:
         # collider chain: eliminating the middle first costs an extra edge
         g = MixedGraph(4, directed=[(0, 1), (2, 1), (2, 3)])
         tester = OracleCiTester(g)
-        res = policy_gradient(tester,
+        res = policy_gradient(NeighborFinder(tester),
                               PgConfig(episodes=800, learning_rate=0.4),
                               seed=2)
         finder = NeighborFinder(tester)
@@ -281,7 +294,7 @@ class TestPolicyGradient:
 
     def test_invalid_episode_count(self, chain3):
         with pytest.raises(ValueError):
-            policy_gradient(OracleCiTester(chain3), PgConfig(episodes=0))
+            policy_gradient(oracle_finder(chain3), PgConfig(episodes=0))
 
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
