@@ -38,7 +38,15 @@ class NeighborFinder:
 
     With an oracle tester the decision is exact: the pair is adjacent when
     an inducing path relative to the eliminated vertices exists, and
-    otherwise ``An({x, y})`` within the remaining set separates it.
+    otherwise ``An({x, y})`` within the remaining set separates it.  So
+    both the verdict and the set depend on the remaining set only through
+    ``key = remaining & An({x, y})`` (Richardson & Spirtes 2002), and the
+    finder keeps the last (key, verdict) per pair in ``_last``: a walk
+    runs only when the pair's key differs from the stored one, and the
+    separating set is ``key`` without x and y.  The key keeps the
+    endpoint bits, so an endpoint outside the remaining set is never
+    answered from a case where it was inside.  The cache holds at most
+    n(n - 1)/2 entries.
 
     With a data-driven tester, candidate separating sets are the subsets
     of the pool ``Mb(x) | Mb(y)`` inside the remaining set, tried in
@@ -61,6 +69,7 @@ class NeighborFinder:
             self._anc = [ancestors(tester.graph, 1 << v)
                          for v in range(self.n)]
         self._mb = None
+        self._last = {}
         self._sep_memo = {}
 
     @property
@@ -89,14 +98,52 @@ class NeighborFinder:
                    for y in bits(remaining & ~mask & ~(1 << x))}
         return NeighborResult(mask, sepsets)
 
+    def sweep(self):
+        """Yield ``(s, masks)`` for every set s of two or more vertices.
+
+        ``masks`` holds ``neighbor_mask(x, s)`` for each x in s, ascending.
+        Each set comes after all of its subsets, each unordered pair is
+        decided once per set, and nothing is stored in the memo.  Vertices
+        that lie in the fewest relevance rows (``An(x)`` under an oracle,
+        ``Mb(x)`` otherwise) change fastest, so consecutive sets mostly
+        share each pair's key.  Sets are built from two half tables of
+        2^(n/2) entries rather than one table of all 2^n.
+        """
+        rows = self._anc if self._anc is not None else self.boundaries
+        order = sorted(range(self.n),
+                       key=lambda v: sum(r >> v & 1 for r in rows))
+        half = self.n // 2
+        low, high = [0], [0]
+        for i, v in enumerate(order):
+            table = low if i < half else high
+            table += [m | 1 << v for m in table]
+        separating_set = self._separating_set
+        for top in high:
+            for m in low:
+                s = top | m
+                if s & (s - 1) == 0:
+                    continue
+                members = list(bits(s))
+                masks = [0] * len(members)
+                for i, x in enumerate(members):
+                    for j in range(i + 1, len(members)):
+                        y = members[j]
+                        if separating_set(x, y, s) is None:
+                            masks[i] |= 1 << y
+                            masks[j] |= 1 << x
+                yield s, masks
+
     def _separating_set(self, x, y, remaining):
         """A subset of ``remaining`` separating x and y, or None."""
         ends = (1 << x) | (1 << y)
         if self._anc is not None:
             anc = self._anc[x] | self._anc[y]
-            if _reachable(self.tester.graph, x, y, anc, remaining):
-                return None
-            return anc & remaining & ~ends
+            key = remaining & anc
+            last = self._last.get(ends)
+            if last is None or last[0] != key:
+                last = self._last[ends] = (key, _reachable(
+                    self.tester.graph, x, y, anc, remaining))
+            return None if last[1] else key & ~ends
         mb = self.boundaries
         pool = (mb[x] | mb[y]) & remaining & ~ends
         memo = self._sep_memo.setdefault(ends, {})

@@ -1,10 +1,12 @@
 """Order-search strategies over the elimination problem.
 
 The cost of an elimination order is the edge count of the skeleton it
-learns, i.e. the sum of per-step neighbor counts.  Three searchers share
-one memoised neighbor finder: greedy hill climbing over bounded-distance
-transpositions, exact dynamic programming over remaining-vertex subsets,
-and REINFORCE on a softmax policy that eliminates one vertex per step.
+learns, i.e. the sum of per-step neighbor counts.  Three searchers take
+one neighbor finder: greedy hill climbing over bounded-distance
+transpositions, through the finder's per-vertex memo; exact dynamic
+programming over remaining-vertex subsets, through its memo-free
+``sweep``; and REINFORCE on a softmax policy that eliminates one vertex
+per step.
 """
 
 from __future__ import annotations
@@ -182,15 +184,12 @@ def value_iteration(finder, config=None):
     if n > cap:
         raise CapacityError(f"n={n} exceeds the subset-table cap {cap}")
     size = 1 << n
-    values = np.zeros(size, dtype=np.int64)
-    actions = np.full(size, -1, dtype=np.int64)
-    for s in range(size):
-        if s.bit_count() <= 1:
-            continue
+    values = [0] * size
+    actions = [-1] * size
+    for s, masks in finder.sweep():
         best, best_a = None, -1
-        for a in bits(s):
-            cost = finder.neighbor_mask(a, s).bit_count() \
-                + values[s & ~(1 << a)]
+        for a, mask in zip(bits(s), masks):
+            cost = mask.bit_count() + values[s & ~(1 << a)]
             if best is None or cost < best:
                 best, best_a = cost, a
         values[s] = best
@@ -198,11 +197,13 @@ def value_iteration(finder, config=None):
     order = []
     s = size - 1
     while s.bit_count() > 1:
-        a = int(actions[s])
+        a = actions[s]
         order.append(a)
         s &= ~(1 << a)
     order.extend(bits(s))
-    return ViResult(tuple(order), int(values[size - 1]), values, actions)
+    return ViResult(tuple(order), values[size - 1],
+                    np.array(values, dtype=np.int64),
+                    np.array(actions, dtype=np.int64))
 
 
 class SoftmaxPolicy:

@@ -21,6 +21,7 @@ from magorder.graph import (
     mask_of,
 )
 from magorder.orders import enumerate_r_orders, is_r_order
+from magorder.search import value_iteration
 
 from conftest import (mag_mec_members, oracle_finder, random_dag, random_mag,
                       submasks)
@@ -120,6 +121,133 @@ class TestOracleNeighbors:
         full = g.full_mask
         assert finder.neighbor_mask(0, full) == 1 << 1
         assert finder.neighbor_mask(64, full & ~1) == 1 << 65
+
+
+def oracle_instances(seed):
+    """Random DAGs on 6 vertices and MAGs on 5 (of 7) for exactness tests."""
+    rng = np.random.default_rng(seed)
+    return ([random_dag(rng, 6, p) for p in (0.3, 0.5, 0.7)]
+            + [random_mag(rng, 5, 7, p) for p in (0.35, 0.5, 0.65)])
+
+
+def fisher_z_tester():
+    """Fisher-Z tester on 500 samples of the bundled asia network."""
+    dag = load_bundled("asia")
+    return FisherZCiTester(sample_sem(random_sem(dag, seed=3), 500, seed=4),
+                           alpha=0.05)
+
+
+def reference_value_iteration(finder):
+    """The subset DP with one ``neighbor_mask`` call per (vertex, set)."""
+    size = 1 << finder.n
+    values = np.zeros(size, dtype=np.int64)
+    actions = np.full(size, -1, dtype=np.int64)
+    for s in range(size):
+        if s.bit_count() <= 1:
+            continue
+        best, best_a = None, -1
+        for a in bits(s):
+            cost = finder.neighbor_mask(a, s).bit_count() \
+                + values[s & ~(1 << a)]
+            if best is None or cost < best:
+                best, best_a = cost, a
+        values[s] = best
+        actions[s] = best_a
+    return values, actions
+
+
+class TestPairCache:
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_shuffled_queries_match_definition(self, seed):
+        # One finder answers every (x, s) in a random order, so each
+        # pair's cached answer was left by an unrelated earlier query.
+        rng = np.random.default_rng(seed)
+        for g in oracle_instances(seed):
+            finder = oracle_finder(g)
+            queries = [(x, s) for s in submasks(g.full_mask)
+                       for x in bits(s)]
+            for i in rng.permutation(len(queries)):
+                x, s = queries[i]
+                assert finder.neighbor_mask(x, s) == \
+                    brute_neighbors(g, x, s), (x, s)
+            assert len(finder._last) <= g.n * (g.n - 1) // 2
+
+    def test_sepsets_follow_the_asked_set(self):
+        rng = np.random.default_rng(23)
+        for g in oracle_instances(23):
+            finder = oracle_finder(g)
+            for i in rng.permutation(1 << g.n):
+                s = int(i)
+                for x in bits(s):
+                    for y, z in finder.neighbors(x, s).sepsets.items():
+                        assert z & ~s == 0 and not (z >> x) & 1
+                        assert m_separated(g, x, y, z)
+
+    def test_endpoint_outside_remaining_matches_fresh_finder(self):
+        for g in oracle_instances(24):
+            shared = oracle_finder(g)
+            for s in submasks(g.full_mask):
+                for x in range(g.n):
+                    # Ask with x inside first, then with x left out.
+                    shared.neighbors(x, s | 1 << x)
+                    outside = s & ~(1 << x)
+                    assert shared.neighbors(x, outside) == \
+                        oracle_finder(g).neighbors(x, outside), (x, s)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 6, 7])
+    def test_every_set_once_after_its_subsets(self, n):
+        g = random_dag(np.random.default_rng(n), n, 0.5)
+        seen = {}
+        for s, masks in oracle_finder(g).sweep():
+            assert s not in seen
+            assert len(masks) == s.bit_count()
+            for a in bits(s):
+                sub = s & ~(1 << a)
+                if sub.bit_count() >= 2:
+                    assert sub in seen, (s, sub)
+            seen[s] = masks
+        assert sorted(seen) == [s for s in range(1 << n)
+                                if s.bit_count() >= 2]
+
+    def test_oracle_masks_match_fresh_neighbor_masks(self):
+        for g in oracle_instances(25):
+            tester = OracleCiTester(g)
+            for s, masks in NeighborFinder(tester).sweep():
+                assert masks == [NeighborFinder(tester).neighbor_mask(x, s)
+                                 for x in bits(s)], s
+
+    def test_fisher_z_masks_match_fresh_neighbor_masks(self):
+        swept = fisher_z_tester()
+        fresh = fisher_z_tester()
+        for s, masks in NeighborFinder(swept, 2).sweep():
+            assert masks == [NeighborFinder(fresh, 2).neighbor_mask(x, s)
+                             for x in bits(s)], s
+        assert swept.query_count == fresh.query_count
+
+    def test_value_iteration_matches_reference_dp(self):
+        finders = [(oracle_finder(g), oracle_finder(g))
+                   for g in oracle_instances(26)]
+        finders.append((NeighborFinder(fisher_z_tester()),
+                        NeighborFinder(fisher_z_tester())))
+        for finder, reference in finders:
+            res = value_iteration(finder)
+            values, actions = reference_value_iteration(reference)
+            assert res.values.dtype == res.actions.dtype == np.int64
+            assert np.array_equal(res.values, values)
+            assert np.array_equal(res.actions, actions)
+            assert res.total_cost == values[-1]
+
+    def test_value_iteration_stores_no_neighbor_masks(self):
+        for g in oracle_instances(27):
+            finder = oracle_finder(g)
+            value_iteration(finder)
+            assert memo_size(finder) == 0
+            assert 0 < len(finder._last) <= g.n * (g.n - 1) // 2
+        finder = NeighborFinder(fisher_z_tester())
+        value_iteration(finder)
+        assert memo_size(finder) == 0
 
 
 class TestCiNeighbors:
