@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 import time
 import typing
@@ -111,7 +112,7 @@ def _check_keys(section, allowed, what):
 def _settings(table, section, role):
     """The settings object for a ``{"kind": ..., **settings}`` section."""
     kind = section.get("kind")
-    if kind not in table:
+    if not isinstance(kind, str) or kind not in table:
         raise ConfigError(f"{role} kind must be one of {tuple(table)}")
     values = {k: v for k, v in section.items() if k != "kind"}
     _check_keys(values, [f.name for f in fields(table[kind])],
@@ -149,7 +150,7 @@ class ExperimentConfig:
     def __post_init__(self):
         _check_types(type(self), self.to_dict())
         kind = self.graph.get("kind")
-        if kind not in GRAPH_KEYS:
+        if not isinstance(kind, str) or kind not in GRAPH_KEYS:
             raise ConfigError(f"graph kind must be one of {tuple(GRAPH_KEYS)}")
         _check_keys(self.graph, ("kind", *GRAPH_KEYS[kind]),
                     f"graph keys for kind {kind!r}")
@@ -183,6 +184,8 @@ class ExperimentConfig:
                 raise ConfigError("latent count must be a nonnegative int")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.max_sep_size is not None and self.max_sep_size < 0:
@@ -190,8 +193,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw):
-        _check_keys(raw, [f.name for f in fields(cls) if f.init],
-                    "config keys")
+        _check_shape(raw)
         if "graph" not in raw:
             raise ConfigError("config needs a graph section")
         return cls(**raw)
@@ -199,6 +201,17 @@ class ExperimentConfig:
     def to_dict(self):
         return {f.name: copy.copy(getattr(self, f.name))
                 for f in fields(self) if f.init}
+
+
+def _check_shape(raw):
+    """ConfigError unless ``raw`` is a JSON object of config keys, each
+    holding a value of its field's type."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, "
+                          f"got {type(raw).__name__}")
+    _check_keys(raw, [f.name for f in fields(ExperimentConfig) if f.init],
+                "config keys")
+    _check_types(ExperimentConfig, raw)
 
 
 def _build_graph(config, seed):
@@ -599,6 +612,7 @@ def _config_from_args(args):
     if args.config:
         with open(args.config) as fh:
             raw = json.load(fh)
+        _check_shape(raw)
     sources = [s for s in (args.er and "er", args.graph_file and "file",
                            args.network and "bundled") if s]
     if len(sources) > 1:
@@ -658,6 +672,12 @@ def _config_from_args(args):
 
 def cmd_run(args):
     config = _config_from_args(args)
+    if config.output:
+        folder = os.path.dirname(config.output) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"output directory {folder!r} does not exist")
+        if os.path.isdir(config.output):
+            raise ConfigError(f"output {config.output!r} is a directory")
     report = run(config)
     if config.output:
         with open(config.output, "w") as fh:
@@ -678,6 +698,17 @@ def cmd_selfcheck(args):
 
 
 def cmd_gen(args):
+    if args.n < 0:
+        raise ConfigError("--n must be nonnegative")
+    if not 0 <= args.p <= 1:
+        raise ConfigError("--p must lie in [0, 1]")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    if args.latent_count is not None and not 0 <= args.latent_count < args.n:
+        raise ConfigError("--latent-count must lie in [0, n): at least one "
+                          "vertex must stay observed")
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     seeds = np.random.SeedSequence(args.seed).spawn(4)
     graph_seed, latent_seed, sem_seed, data_seed = seeds
     dag = erdos_renyi_dag(args.n, args.p, seed=graph_seed)

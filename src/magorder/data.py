@@ -19,7 +19,8 @@ import numpy as np
 
 from .ci import DataMatrix
 from .errors import EdgeListParseError
-from .graph import MixedGraph, bits, latent_projection, mask_of
+from .graph import (MixedGraph, _topological, bits, latent_projection,
+                    mask_of)
 
 # Coefficient magnitudes and noise scales for randomly drawn linear SEMs.
 COEFF_RANGE = (1.0, 1.5)
@@ -157,22 +158,6 @@ def standardize_sem(spec):
         cov[:, v] = row
         cov[v, v] = 1.0
     return SemSpec(dag, coeffs, scales)
-
-
-def _topological(g):
-    indeg = [g.parents_mask(v).bit_count() for v in range(g.n)]
-    ready = [v for v in range(g.n) if indeg[v] == 0]
-    out = []
-    while ready:
-        v = ready.pop()
-        out.append(v)
-        for w in bits(g.children_mask(v)):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if len(out) != g.n:
-        raise ValueError("graph has a directed cycle")
-    return out
 
 
 def sample_sem(spec, num_samples, seed=None):

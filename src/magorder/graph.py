@@ -18,7 +18,8 @@ non-endpoint w on it is
   w) and w is not an ancestor of ``Z + {x, y}``, or
 * a non-collider and w is in Z.
 
-``m_separated`` answers via a (vertex, entering-mark) reachability walk;
+``m_separated`` answers via a reachability walk that grows two frontier
+masks, the vertices entered through an arrowhead and through a tail;
 ``m_separated_by_paths`` enumerates all simple paths and is the reference
 implementation the fast one is tested against.  Ancestor sets are taken
 reflexively: every vertex is an ancestor of itself.
@@ -145,7 +146,7 @@ class MixedGraph:
         return len(self.directed) + len(self.bidirected)
 
     def is_dag(self):
-        return not self.bidirected and _directed_acyclic(self)
+        return not self.bidirected and len(_topological(self)) == self.n
 
     def max_degree(self):
         return max((self._adj[v].bit_count() for v in range(self.n)), default=0)
@@ -172,28 +173,20 @@ class MixedGraph:
                 f"bidirected={sorted(self.bidirected)})")
 
 
-def _directed_acyclic(g):
-    state = [0] * g.n  # 0 unvisited, 1 on stack, 2 done
-    for root in range(g.n):
-        if state[root]:
-            continue
-        stack = [(root, iter(bits(g._ch[root])))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for c in it:
-                if state[c] == 1:
-                    return False
-                if state[c] == 0:
-                    state[c] = 1
-                    stack.append((c, iter(bits(g._ch[c]))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return True
+def _topological(g):
+    """Vertices in parents-first order by Kahn's algorithm; every vertex
+    on or downstream of a directed cycle is left out."""
+    indeg = [g._pa[v].bit_count() for v in range(g.n)]
+    ready = [v for v in range(g.n) if indeg[v] == 0]
+    out = []
+    while ready:
+        v = ready.pop()
+        out.append(v)
+        for w in bits(g._ch[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return out
 
 
 def ancestors(g, xs):
@@ -217,7 +210,7 @@ def ancestors(g, xs):
 def is_ancestral(g):
     """No directed cycle and no bidirected edge between a vertex and its
     (proper) ancestor."""
-    if not _directed_acyclic(g):
+    if len(_topological(g)) != g.n:
         return False
     for u, v in g.bidirected:
         if (ancestors(g, 1 << v) >> u) & 1 or (ancestors(g, 1 << u) >> v) & 1:
@@ -234,41 +227,32 @@ def _reachable(g, x, y, collider_ok, noncollider_block):
     ``noncollider_block = Z`` this decides m-connection; with
     ``collider_ok = ancestors({x,y})`` and ``noncollider_block = ~latent``
     it decides whether an inducing path relative to the latent set exists.
+
+    The closure is built one frontier at a time over two masks: vertices
+    entered through an arrowhead (``head``) and through a tail (``tail``).
+    Leaving w through a tail (to a child) makes w a non-collider; leaving
+    through an arrowhead (to a parent or sibling) makes w a collider
+    exactly when it was entered through an arrowhead.
     """
     if (g._adj[x] >> y) & 1:
         return True
+    pa, ch, sib = g._pa, g._ch, g._sib
     yb = 1 << y
-    # State = (vertex, entered through an arrowhead?).  Two visited masks.
-    seen_head = g._ch[x] | g._sib[x]
-    seen_tail = g._pa[x]
-    stack = [(v, True) for v in bits(seen_head)]
-    stack += [(v, False) for v in bits(seen_tail)]
-    while stack:
-        w, head_in = stack.pop()
-        wb = 1 << w
-        as_noncollider = not (noncollider_block & wb)
-        # Leaving through a tail at w (w -> child): never a collider at w.
-        if as_noncollider:
-            targets = g._ch[w]
-            if targets & yb:
-                return True
-            for c in bits(targets & ~seen_head):
-                seen_head |= 1 << c
-                stack.append((c, True))
-        # Leaving through an arrowhead at w: collider iff entered through one.
-        if (head_in and (collider_ok & wb)) or (not head_in and as_noncollider):
-            targets = g._pa[w]
-            if targets & yb:
-                return True
-            for p in bits(targets & ~seen_tail):
-                seen_tail |= 1 << p
-                stack.append((p, False))
-            targets = g._sib[w]
-            if targets & yb:
-                return True
-            for s in bits(targets & ~seen_head):
-                seen_head |= 1 << s
-                stack.append((s, True))
+    seen_head = head = ch[x] | sib[x]
+    seen_tail = tail = pa[x]
+    while head | tail:
+        to_head = to_tail = 0
+        for w in bits((head | tail) & ~noncollider_block):
+            to_head |= ch[w]
+        for w in bits((head & collider_ok) | (tail & ~noncollider_block)):
+            to_tail |= pa[w]
+            to_head |= sib[w]
+        if (to_head | to_tail) & yb:
+            return True
+        head = to_head & ~seen_head
+        tail = to_tail & ~seen_tail
+        seen_head |= head
+        seen_tail |= tail
     return False
 
 
@@ -408,20 +392,11 @@ def is_maximal(g):
     """Every non-adjacent pair is separable by some conditioning set.
 
     Equivalent to the absence of an inducing path (relative to the empty
-    latent set) between non-adjacent vertices.
+    latent set) between non-adjacent vertices, so exactly when projecting
+    nothing away adds no edge.  Raises ValueError unless ``g`` is
+    ancestral.
     """
-    if not is_ancestral(g):
-        raise ValueError("maximality is defined for ancestral graphs")
-    anc = [ancestors(g, 1 << v) for v in range(g.n)]
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            if (g._adj[x] >> y) & 1:
-                continue
-            if _reachable(g, x, y,
-                          collider_ok=anc[x] | anc[y],
-                          noncollider_block=g.full_mask):
-                return False
-    return True
+    return latent_projection(g, g.full_mask) == g
 
 
 def is_removable(g, x):

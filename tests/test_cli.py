@@ -136,6 +136,17 @@ class TestExperimentConfig:
         {"graph": {"kind": "er", "n": 5, "p": 0.3, "nn": 7}},
         {"graph": {"kind": "bundled", "name": "asia"},
          "latent": {"count": 1, "typo": 2}},
+        [{"graph": {"kind": "bundled", "name": "asia"}}],
+        {"graph": {"kind": ["er"], "n": 4, "p": 0.5}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "tester": {"kind": ["oracle"]}},
+        {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": {"hc": 1}}},
+        {"graph": "er"},
+        {"graph": {"kind": "bundled", "name": "asia"}, "tester": "oracle"},
+        {"graph": {"kind": "bundled", "name": "asia"}, "searcher": "hc"},
+        {"graph": {"kind": "bundled", "name": "asia"}, "latent": "count"},
+        {"graph": {"kind": "bundled", "name": "asia"}, "seed": -3},
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -357,6 +368,36 @@ class TestMain:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [
+        [1, 2],
+        {"graph": {"kind": "er", "n": 4, "p": 0.5}, "tester": "oracle"},
+        {"graph": {"kind": "er", "n": 4, "p": 0.5}, "searcher": "hc"},
+    ])
+    def test_config_shape_errors_exit_2(self, raw, tmp_path, capsys):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, raw", [
+        (["--er", "5", "0.5", "--seed", "-1"], None),
+        ([], {"graph": {"kind": "er", "n": 5, "p": 0.5}, "seed": -3}),
+        (["--er", "5", "0.5", "--output", "missing/report.json"], None),
+        (["--er", "5", "0.5", "--output", "."], None),
+    ])
+    def test_rejected_before_any_replication(self, argv, raw, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        if raw is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(raw))
+            argv = ["--config", "cfg.json", *argv]
+        started = []
+        monkeypatch.setattr("magorder.cli._run_replication",
+                            lambda *job: started.append(job))
+        assert main(["run", *argv]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert started == []
+
     def test_mistyped_alpha_exits_2(self, tmp_path, capsys):
         path = tmp_path / "alpha.json"
         path.write_text(json.dumps({
@@ -442,6 +483,19 @@ class TestMain:
         header, *rows = (tmp_path / "inst.csv").read_text().splitlines()
         assert len(header.split(",")) == 6
         assert len(rows) == 100
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "5", "--p", "1.5"],
+        ["--n", "-3", "--p", "0.5"],
+        ["--n", "5", "--p", "0.5", "--seed", "-2"],
+        ["--n", "5", "--p", "0.5", "--samples", "0"],
+        ["--n", "5", "--p", "0.5", "--latent-count", "5"],
+    ])
+    def test_gen_usage_errors_exit_2(self, flags, tmp_path, capsys):
+        assert main(["gen", *flags, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_score_command(self, tmp_path, capsys):
         a = MixedGraph(3, directed=[(0, 1), (1, 2)])

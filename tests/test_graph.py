@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from magorder.errors import CapacityError
 from magorder.graph import (
     MixedGraph,
+    _topological,
     ancestors,
     bits,
     induced_subgraph,
@@ -95,6 +98,28 @@ class TestAncestors:
         assert ancestors(g, 1 << 2) == 1 << 2
 
 
+def moral_separated(g, x, y, z):
+    """d-separation in the DAG ``g`` by moralising An({x, y} + Z), deleting
+    Z and testing connectivity (Lauritzen et al. 1990)."""
+    keep = ancestors(g, z | (1 << x) | (1 << y))
+    nbrs = {v: set() for v in bits(keep)}
+    for v in bits(keep):
+        parents = list(bits(g.parents_mask(v)))
+        for u in parents:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        for a, b in combinations(parents, 2):
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    seen, stack = {x}, [x]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen and not (z >> w) & 1:
+                seen.add(w)
+                stack.append(w)
+    return y not in seen
+
+
 class TestSeparation:
     def test_source_pair_marginally_separated(self, g1):
         assert m_separated(g1, 2, 3, 0) is True
@@ -165,6 +190,22 @@ class TestSeparation:
             g = random_ancestral(rng, 5, 0.3, 0.3)
             self._assert_all_queries_agree(g)
 
+    def test_matches_moralisation_above_64_vertices(self):
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for _ in range(30):
+            n = int(rng.integers(65, 91))
+            g = random_dag(rng, n, 3 / n)
+            for _ in range(100):
+                x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
+                keep = rng.random(n) < rng.uniform(0.0, 0.5)
+                z = mask_of(v for v in range(n)
+                            if keep[v] and v not in (x, y))
+                got = m_separated(g, x, y, z)
+                assert got == moral_separated(g, x, y, z), (g, x, y, z)
+                verdicts.append(got)
+        assert 0 < sum(verdicts) < len(verdicts)
+
     @staticmethod
     def _assert_all_queries_agree(g):
         for x in range(g.n):
@@ -213,6 +254,24 @@ class TestAncestral:
     def test_valid_mag(self):
         g = MixedGraph(3, directed=[(0, 1)], bidirected=[(1, 2)])
         assert is_ancestral(g)
+        assert not g.is_dag()
+
+
+class TestTopological:
+    def test_parents_first(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            g = random_dag(rng, int(rng.integers(1, 30)), 0.2)
+            order = _topological(g)
+            assert sorted(order) == list(range(g.n))
+            pos = {v: i for i, v in enumerate(order)}
+            assert all(pos[u] < pos[v] for u, v in g.directed)
+
+    def test_cycle_leaves_vertices_out(self):
+        # 0 -> 1 -> 2 -> 0 is a cycle and 4 lies below it; 3 and 5 do not.
+        g = MixedGraph(6, directed=[(0, 1), (1, 2), (2, 0), (3, 0),
+                                    (2, 4), (3, 5)])
+        assert sorted(_topological(g)) == [3, 5]
         assert not g.is_dag()
 
 
