@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` executes replicated learn-and-score experiments
 from a JSON config and/or flags and writes a versioned JSON report;
-``selfcheck`` runs the built-in oracle property suite; ``gen`` emits a
-synthetic instance to files; ``score`` compares two edge-list graphs.
+``selfcheck`` runs the oracle property suite of ``magorder.checks``;
+``gen`` emits a synthetic instance to files; ``score`` compares two
+edge-list graphs.
 Exit codes: 0 success, 1 check/run failure, 2 bad configuration.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import itertools
 import json
 import math
 import numbers
@@ -38,11 +38,9 @@ from .data import (
     score,
     standardize_sem,
 )
-from .discovery import NeighborFinder, cost_vector, learn_skeleton, orient
+from .checks import selfcheck
+from .discovery import NeighborFinder, learn_skeleton, orient
 from .errors import ConfigError, EdgeListParseError, OrientationConflict
-from .graph import (bits, is_maximal, m_separated, markov_equivalent_dags,
-                    mask_of)
-from .orders import enumerate_c_orders, enumerate_r_orders, is_r_order
 from .search import (INITIALIZERS, HcConfig, PgConfig, ViConfig, hill_climb,
                      policy_gradient, value_iteration)
 
@@ -434,146 +432,6 @@ def run(config):
     return RunReport(config=config.to_dict(), rows=rows,
                      aggregate=_aggregate(rows),
                      elapsed=time.perf_counter() - started)
-
-
-# -- selfcheck ---------------------------------------------------------------
-
-def _check_order_predicates(cap, rng):
-    for _ in range(10):
-        g = erdos_renyi_dag(min(cap, 5), 0.5,
-                            seed=int(rng.integers(1 << 30)))
-        mec = markov_equivalent_dags(g)
-        r_sets = [frozenset(enumerate_r_orders(m)) for m in mec]
-        if len(set(r_sets)) != 1:
-            return False, "r-order sets differ inside one equivalence class"
-        c_sets = [frozenset(enumerate_c_orders(m)) for m in mec]
-        for cs, rs in zip(c_sets, r_sets):
-            if not cs <= rs:
-                return False, "found a c-order that is not an r-order"
-        for a_set, b_set in itertools.combinations(c_sets, 2):
-            if a_set & b_set:
-                return False, "c-orders shared between distinct members"
-    return True, ""
-
-
-def _small_instances(cap, rng):
-    out = []
-    for _ in range(3):
-        out.append(erdos_renyi_dag(cap, 0.4,
-                                   seed=int(rng.integers(1 << 30))))
-        big = erdos_renyi_dag(cap + 2, 0.4, seed=int(rng.integers(1 << 30)))
-        mag, _ = make_latent_instance(big, 0.0, num_latent=2,
-                                      seed=int(rng.integers(1 << 30)))
-        out.append(mag)
-    return out
-
-
-def _check_min_cost_orders(cap, rng):
-    for g in _small_instances(cap, rng):
-        finder = NeighborFinder(OracleCiTester(g))
-        best, argmin = None, set()
-        for order in itertools.permutations(range(g.n)):
-            cost = sum(cost_vector(order, finder))
-            if best is None or cost < best:
-                best, argmin = cost, {order}
-            elif cost == best:
-                argmin.add(order)
-        if argmin != set(enumerate_r_orders(g)):
-            return False, f"cost minimisers differ from r-orders on {g!r}"
-        vi = value_iteration(finder)
-        if vi.total_cost != best:
-            return False, f"dynamic program missed the optimum on {g!r}"
-    return True, ""
-
-
-def _check_skeleton_recovery(cap, rng):
-    for g in _small_instances(cap, rng):
-        finder = NeighborFinder(OracleCiTester(g))
-        true_edges = g.skeleton_edges()
-        for order in itertools.permutations(range(g.n)):
-            learned = learn_skeleton(order, finder).edges
-            if is_r_order(g, order):
-                if learned != true_edges:
-                    return False, f"r-order missed the skeleton on {g!r}"
-            elif not (learned > true_edges):
-                return False, f"non-r-order lacked extra edges on {g!r}"
-    return True, ""
-
-
-def _check_hill_climb(cap, rng):
-    for g in _small_instances(cap, rng):
-        res = hill_climb(NeighborFinder(OracleCiTester(g)),
-                         HcConfig(max_swap=g.n - 1))
-        costs = [cost for _, cost, _ in res.trace]
-        if any(b >= a for a, b in zip(costs, costs[1:])):
-            return False, "accepted swap did not decrease the cost"
-    return True, ""
-
-
-def _check_projection(cap, rng):
-    for _ in range(5):
-        g = erdos_renyi_dag(cap, 0.4, seed=int(rng.integers(1 << 30)))
-        mag, observed = make_latent_instance(
-            g, 0.0, num_latent=2, seed=int(rng.integers(1 << 30)))
-        if not is_maximal(mag):
-            return False, "projection produced a non-maximal graph"
-        m = mag.n
-        for i in range(m):
-            for j in range(i + 1, m):
-                free = mask_of(range(m)) & ~(1 << i) & ~(1 << j)
-                for z in range(1 << m):
-                    if z & ~free:
-                        continue
-                    lifted = mask_of(observed[k] for k in bits(z))
-                    if m_separated(mag, i, j, z) != m_separated(
-                            g, observed[i], observed[j], lifted):
-                        return False, "projection changed a separation"
-    return True, ""
-
-
-_FIXTURE_STATS = {"asia": (8, 8, 2, 4), "sachs": (11, 17, 3, 7),
-                  "insurance": (27, 52, 3, 9), "alarm": (37, 46, 4, 6)}
-
-
-def _check_fixtures(cap, rng):
-    if bundled_networks() != tuple(sorted(_FIXTURE_STATS)):
-        return False, "bundled catalogue does not match expectations"
-    for name, (n, e, max_in, max_deg) in _FIXTURE_STATS.items():
-        g = load_bundled(name)
-        got = (g.n, g.edge_count(), g.max_in_degree(), g.max_degree())
-        if got != (n, e, max_in, max_deg) or not g.is_dag():
-            return False, f"{name}: expected {(n, e, max_in, max_deg)}, " \
-                          f"got {got}"
-    return True, ""
-
-
-CHECKS = (
-    ("order-predicates", _check_order_predicates),
-    ("min-cost-orders-are-r-orders", _check_min_cost_orders),
-    ("skeleton-exact-iff-r-order", _check_skeleton_recovery),
-    ("hill-climb-monotone", _check_hill_climb),
-    ("projection-preserves-separation", _check_projection),
-    ("fixtures-intact", _check_fixtures),
-)
-
-
-def selfcheck(cap=5, seed=0):
-    """Run the embedded oracle property suite.
-
-    ``cap`` bounds the exhaustive-permutation checks (cap! orders per
-    instance).  Returns a list of {name, ok, detail} rows.
-    """
-    if not 2 <= cap <= 8:
-        raise ConfigError("selfcheck cap must lie in [2, 8]")
-    rows = []
-    for name, fn in CHECKS:
-        rng = np.random.default_rng(seed)
-        try:
-            ok, detail = fn(cap, rng)
-        except Exception as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        rows.append({"name": name, "ok": ok, "detail": detail})
-    return rows
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -7,12 +7,11 @@ to end; everything else runs against the m-separation oracle where the
 expected answer is computable independently.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 
 from magorder import (
+    checks,
     DataMatrix,
     FisherZCiTester,
     HcConfig,
@@ -26,7 +25,6 @@ from magorder import (
     enumerate_r_orders,
     hill_climb,
     initialize_order,
-    learn_skeleton,
     policy_gradient,
     value_iteration,
 )
@@ -48,12 +46,7 @@ def exhaustive_instances():
             g = random_dag(rng, n, 0.4)
         else:
             g = random_mag(rng, n, n + 2, 0.35)
-        finder = NeighborFinder(OracleCiTester(g))
-        rows = []
-        for order in itertools.permutations(range(n)):
-            res = learn_skeleton(order, finder)
-            rows.append((order, res.edges))
-        out.append((g, rows))
+        out.append((g, checks.learned_skeletons(g)))
     return out
 
 
@@ -70,22 +63,15 @@ def scanned():
 def test_minimum_cost_orders_are_exactly_the_removable_orders():
     # Exhaustive check that argmin-cost elimination orders coincide with
     # enumerate_r_orders on DAGs and MAGs alike.
-    for g, rows in scanned():
-        costs = {order: len(edges) for order, edges in rows}
-        best = min(costs.values())
-        argmin = {order for order, c in costs.items() if c == best}
-        assert argmin == set(enumerate_r_orders(g))
+    for g, skeletons in scanned():
+        assert checks.min_cost_orders(g, skeletons) is None
 
 
 def test_skeleton_exact_iff_removable_order_else_strict_supergraph():
     # Same instances: removable orders recover the skeleton with zero
     # structural error, every other order adds at least one extra edge.
-    for g, rows in scanned():
-        skel = g.skeleton_edges()
-        r_set = set(enumerate_r_orders(g))
-        for order, edges in rows:
-            assert edges >= skel
-            assert (edges == skel) == (order in r_set)
+    for g, skeletons in scanned():
+        assert checks.skeleton_recovery(g, skeletons) is None
 
 
 def test_worked_example_order_counts(g1, g2):
@@ -106,15 +92,8 @@ def test_order_sets_respect_markov_equivalence():
     for _ in range(100):
         n = int(rng.integers(3, 7))
         g = random_dag(rng, n, 0.35)
-        members = markov_equivalent_dags(g)
-        members_seen += len(members)
-        r_sets = [set(enumerate_r_orders(m)) for m in members]
-        c_sets = [set(enumerate_c_orders(m)) for m in members]
-        assert all(r == r_sets[0] for r in r_sets)
-        for c, r in zip(c_sets, r_sets):
-            assert c <= r
-        for i, j in itertools.combinations(range(len(members)), 2):
-            assert not c_sets[i] & c_sets[j]
+        assert checks.order_sets(g) is None
+        members_seen += len(markov_equivalent_dags(g))
     assert members_seen >= 100
 
 
@@ -128,12 +107,7 @@ def test_exact_search_matches_brute_force_and_label_permutation():
             n = 4 + k % 4
             g = (random_dag(rng, n, 0.4) if k % 2 == 0
                  else random_mag(rng, n, n + 2, 0.3))
-            finder = NeighborFinder(OracleCiTester(g))
-            res = value_iteration(finder)
-            brute = min(sum(cost_vector(p, finder))
-                        for p in itertools.permutations(range(n)))
-            assert res.total_cost == brute
-            assert sum(cost_vector(res.order, finder)) == brute
+            assert checks.exact_search(g) is None
         else:
             n = 8 + k % 3
             g = (random_dag(rng, n, 0.3) if k % 2 == 0
@@ -149,7 +123,7 @@ def test_exact_search_matches_brute_force_and_label_permutation():
 
 
 def test_hill_climb_monotone_and_reaches_exact_optimum():
-    # Cost traces never increase, and greedy search from the boundary-size
+    # Cost traces strictly decrease, and greedy search from the boundary-size
     # initializer lands on the exact optimum in at least 45 of 50 oracle
     # instances with up to 15 vertices.
     rng = np.random.default_rng(606)
@@ -161,11 +135,10 @@ def test_hill_climb_monotone_and_reaches_exact_optimum():
         cfg = HcConfig(max_iter=200, max_swap=min(10, n - 1),
                        initializer="mb_size_sort")
         res = hill_climb(finder, cfg, seed=int(rng.integers(2 ** 31)))
-        costs = [c for _, c, _ in res.trace]
-        assert all(y <= x for x, y in zip(costs, costs[1:]))
-        opt = value_iteration(finder).total_cost
-        assert costs[-1] >= opt
-        hits += costs[-1] == opt
+        assert checks.hill_climb_monotone(res) is None
+        cost, opt = res.trace[-1][1], value_iteration(finder).total_cost
+        assert cost >= opt
+        hits += cost == opt
     assert hits >= 45
 
 
