@@ -185,6 +185,8 @@ def selfcheck(cap=5, seed=0):
     """
     if not 2 <= cap <= 8:
         raise ConfigError("selfcheck cap must lie in [2, 8]")
+    if seed < 0:
+        raise ConfigError("selfcheck seed must be nonnegative")
     rows = []
     for name, instances, check in CHECKS:
         rng = np.random.default_rng(seed)

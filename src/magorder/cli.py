@@ -387,15 +387,25 @@ class RunReport:
 
 
 def _check_observed(config):
-    """Reject a latent spec that hides every vertex, and a Fisher-Z sample
-    size too small for the total-conditioning Markov boundaries, which
-    condition each pair on every other observed variable and so need more
-    than ``observed + 1`` samples."""
+    """Reject a graph file that does not load, a latent spec that hides
+    every vertex, more observed vertices than the VI subset-table cap, and
+    a Fisher-Z sample size too small for the total-conditioning Markov
+    boundaries, which condition each pair on every other observed variable
+    and so need more than ``observed + 1`` samples."""
     num = getattr(config.tester_settings, "num_samples", None)
-    if config.latent is None and num is None:
+    cap = getattr(config.searcher_settings, "cap", None)
+    kind = config.graph["kind"]
+    if kind == "file":
+        try:
+            n = _build_graph(config, None).n
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"graph file {config.graph['path']!r}: "
+                              f"{exc}") from None
+    elif config.latent is None and num is None and cap is None:
         return
-    n = config.graph["n"] if config.graph["kind"] == "er" \
-        else _build_graph(config, None).n
+    else:
+        n = config.graph["n"] if kind == "er" \
+            else _build_graph(config, None).n
     latent = config.latent or {}
     hidden = latent.get("count")
     if hidden is None:
@@ -404,6 +414,9 @@ def _check_observed(config):
     if observed < 1:
         raise ConfigError(f"the latent spec hides {hidden} of {n} "
                           f"vertices; at least one must stay observed")
+    if cap is not None and observed > cap:
+        raise ConfigError(f"vi searcher cap {cap} is below the {observed} "
+                          f"observed vertices")
     if num is not None and num <= observed + 1:
         raise ConfigError(
             f"fisher_z needs more than observed + 1 = {observed + 1} "
@@ -468,7 +481,7 @@ def _add_run_flags(sub):
 def _config_from_args(args):
     raw = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
         _check_shape(raw)
     sources = [s for s in (args.er and "er", args.graph_file and "file",
@@ -648,8 +661,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, EdgeListParseError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, EdgeListParseError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -326,6 +326,8 @@ class TestSelfcheck:
     def test_cap_validated(self):
         with pytest.raises(ConfigError):
             selfcheck(cap=1)
+        with pytest.raises(ConfigError, match="seed"):
+            selfcheck(seed=-1)
 
 
 class TestMain:
@@ -396,6 +398,36 @@ class TestMain:
                             lambda *job: started.append(job))
         assert main(["run", *argv]) == 2
         assert "error:" in capsys.readouterr().err
+        assert started == []
+
+    @pytest.mark.parametrize("argv", [
+        ["selfcheck", "--seed", "-1"],
+        ["score", "folder", "folder"],
+        ["run", "--config", "folder"],
+        ["run", "--config", "utf16.json"],
+        ["run", "--graph-file", "missing.edges"],
+        ["run", "--graph-file", "bad.edges"],
+        ["run", "--graph-file", "folder"],
+        ["run", "--config", "manifest.json"],
+        ["run", "--config", "manifest.json", "--latent-count", "1"],
+        ["run", "--er", "25", "0.1", "--searcher", "vi", "--vi-cap", "10"],
+        ["run", "--network", "alarm", "--searcher", "vi"],
+    ])
+    def test_bad_inputs_exit_2_before_any_replication(self, argv, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+        (tmp_path / "bad.edges").write_text("n 2\n0 -> 5\n")
+        save_network(MixedGraph(2, directed=[(0, 1)]), tmp_path / "g.edges")
+        (tmp_path / "manifest.json").write_text(json.dumps({"graph": {
+            "kind": "file", "path": "g.edges", "manifest": [2, 3]}}))
+        started = []
+        monkeypatch.setattr("magorder.cli._run_replication",
+                            lambda *job: started.append(job))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
         assert started == []
 
     def test_mistyped_alpha_exits_2(self, tmp_path, capsys):

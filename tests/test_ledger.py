@@ -1,0 +1,74 @@
+"""Ledger of outputs and work counts for five small seeded runs.
+
+Each config runs through ``cli.run``.  The test compares a hash of its
+replication rows (every field but ``wall_clock``), the number of oracle
+walks (``discovery._reachable`` calls) and each replication's
+``ci_tests`` with the values stored in ``ledger.json``.  A change that
+should not alter outputs leaves that file alone; one that alters them on
+purpose rewrites it with ``PYTHONPATH=src python tests/test_ledger.py``
+and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from magorder import cli, discovery
+
+LEDGER = Path(__file__).with_name("ledger.json")
+
+# Together: all three searchers, both testers, latents and orientation.
+CONFIGS = {
+    "oracle-hc-er40": {
+        "graph": {"kind": "er", "n": 40, "p": 0.08}, "replications": 3},
+    "oracle-vi-er12-latent2": {
+        "graph": {"kind": "er", "n": 12, "p": 0.25}, "latent": {"count": 2},
+        "searcher": {"kind": "vi"}, "replications": 3},
+    "oracle-pg-asia": {
+        "graph": {"kind": "bundled", "name": "asia"},
+        "searcher": {"kind": "pg", "episodes": 40}, "replications": 2},
+    "fisherz-insurance-latent3": {
+        "graph": {"kind": "bundled", "name": "insurance"},
+        "latent": {"count": 3},
+        "tester": {"kind": "fisher_z", "alpha": 0.025, "num_samples": 1350,
+                   "standardize": True},
+        "searcher": {"kind": "hc", "initializer": "mb_recursive"},
+        "max_sep_size": 2, "replications": 3},
+    "fisherz-vi-sachs": {
+        "graph": {"kind": "bundled", "name": "sachs"},
+        "tester": {"kind": "fisher_z", "num_samples": 500},
+        "searcher": {"kind": "vi"}, "replications": 2},
+}
+
+
+def measure(raw):
+    """The ledger entry of one config: row hash, walks and CI tests."""
+    walks = 0
+    reachable = discovery._reachable
+
+    def counted(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return reachable(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discovery, "_reachable", counted)
+        rows = cli.run(cli.ExperimentConfig.from_dict(raw)).rows
+    fixed = [{k: v for k, v in row.items() if k != "wall_clock"}
+             for row in rows]
+    digest = hashlib.sha256(json.dumps(fixed, sort_keys=True).encode())
+    return {"rows_sha256": digest.hexdigest(), "walks": walks,
+            "ci_tests": [row["ci_tests"] for row in rows]}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_outputs_and_work_counts_match_ledger(name):
+    assert measure(CONFIGS[name]) == json.loads(LEDGER.read_text())[name]
+
+
+if __name__ == "__main__":
+    LEDGER.write_text(json.dumps({name: measure(raw)
+                                  for name, raw in CONFIGS.items()},
+                                 indent=2) + "\n")
