@@ -161,6 +161,14 @@ class ExperimentConfig:
         elif kind == "file":
             if not self.graph.get("path"):
                 raise ConfigError("file graph needs a path")
+            manifest = self.graph.get("manifest")
+            counts = (manifest if not isinstance(manifest, dict)
+                      else [manifest.get("n"), manifest.get("e")])
+            if manifest is not None and not (
+                    isinstance(counts, (list, tuple)) and len(counts) == 2
+                    and all(_fits(v, int) for v in counts)):
+                raise ConfigError('file graph manifest must be [n, e] or '
+                                  '{"n": n, "e": e}')
         elif self.graph.get("name") not in bundled_networks():
             raise ConfigError(f"bundled graph name must be one of "
                               f"{bundled_networks()}")

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from magorder import (
-    checks,
     DataMatrix,
     FisherZCiTester,
     HcConfig,
@@ -20,6 +19,7 @@ from magorder import (
     OracleCiTester,
     PgConfig,
     SoftmaxPolicy,
+    checks,
     cost_vector,
     enumerate_c_orders,
     enumerate_r_orders,

@@ -147,6 +147,9 @@ class TestExperimentConfig:
         {"graph": {"kind": "bundled", "name": "asia"}, "searcher": "hc"},
         {"graph": {"kind": "bundled", "name": "asia"}, "latent": "count"},
         {"graph": {"kind": "bundled", "name": "asia"}, "seed": -3},
+        {"graph": {"kind": "file", "path": "g.edges", "manifest": 5}},
+        {"graph": {"kind": "file", "path": "g.edges", "manifest": {"n": 2}}},
+        {"graph": {"kind": "file", "path": "g.edges", "manifest": [2, "1"]}},
     ])
     def test_invalid_configs_rejected(self, raw):
         with pytest.raises(ConfigError):
