@@ -489,8 +489,12 @@ def _add_run_flags(sub):
 def _config_from_args(args):
     raw = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8: "
+                              f"{exc}") from None
         _check_shape(raw)
     sources = [s for s in (args.er and "er", args.graph_file and "file",
                            args.network and "bundled") if s]

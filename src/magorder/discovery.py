@@ -15,12 +15,12 @@ arrowhead/tail completion rules for settings without selection bias.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .ci import OracleCiTester, markov_boundaries
 from .errors import OrientationConflict
-from .graph import _reachable, ancestors, bits, mask_of
+from .graph import _reachable, ancestors, bits, mask_of, reach_all
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,12 @@ class NeighborFinder:
     separating set is ``key`` without x and y.  The key keeps the
     endpoint bits, so an endpoint outside the remaining set is never
     answered from a case where it was inside.  The cache holds at most
-    n(n - 1)/2 entries.
+    n(n - 1)/2 entries.  ``neighbor_mask`` first brackets the answer with
+    two all-targets walks (``graph.reach_all``, blocking the remaining
+    set R): passing colliders in An(x) reaches a subset of the neighbors,
+    exact for every y in An(x) since then An({x, y}) = An(x), and passing
+    colliders in An(R + {x}) reaches a superset.  Only the y between the
+    two brackets and outside An(x) go through ``_separating_set``.
 
     With a data-driven tester, candidate separating sets are the subsets
     of the pool ``Mb(x) | Mb(y)`` inside the remaining set, tried in
@@ -85,7 +90,15 @@ class NeighborFinder:
         got = memo.get(remaining)
         if got is None:
             got = 0
-            for y in bits(remaining & ~(1 << x)):
+            undecided = remaining & ~(1 << x)
+            if self._anc is not None:
+                g = self.tester.graph
+                anc_x = self._anc[x]
+                got = reach_all(g, x, anc_x, remaining) & undecided
+                undecided &= reach_all(
+                    g, x, ancestors(g, remaining | 1 << x), remaining)
+                undecided &= ~got & ~anc_x
+            for y in bits(undecided):
                 if self._separating_set(x, y, remaining) is None:
                     got |= 1 << y
             memo[remaining] = got

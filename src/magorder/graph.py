@@ -218,42 +218,48 @@ def is_ancestral(g):
     return True
 
 
-def _reachable(g, x, y, collider_ok, noncollider_block):
-    """Walk-based connectivity from x to y through passable interiors.
+def reach_all(g, x, collider_ok, noncollider_block, stop=0):
+    """Every vertex reachable from x through passable interiors.
 
     An interior vertex w is passable as a collider when the ``collider_ok``
     mask contains it, and as a non-collider when ``noncollider_block`` does
     not.  Instantiated with ``collider_ok = ancestors(Z + {x,y})`` and
-    ``noncollider_block = Z`` this decides m-connection; with
-    ``collider_ok = ancestors({x,y})`` and ``noncollider_block = ~latent``
-    it decides whether an inducing path relative to the latent set exists.
+    ``noncollider_block = Z`` the result holds y exactly when x and y are
+    m-connected given Z; with ``collider_ok = ancestors({x,y})`` and
+    ``noncollider_block = ~latent`` it holds y exactly when an inducing
+    path relative to the latent set exists.  Vertices adjacent to x are
+    always reached.  The walk never depends on a target, so one call
+    answers every y that shares its masks, and a larger ``collider_ok``
+    reaches a superset.
 
     The closure is built one frontier at a time over two masks: vertices
     entered through an arrowhead (``head``) and through a tail (``tail``).
     Leaving w through a tail (to a child) makes w a non-collider; leaving
     through an arrowhead (to a parent or sibling) makes w a collider
-    exactly when it was entered through an arrowhead.
+    exactly when it was entered through an arrowhead.  The walk stops
+    early once it has reached a vertex of ``stop``.
     """
-    if (g._adj[x] >> y) & 1:
-        return True
     pa, ch, sib = g._pa, g._ch, g._sib
-    yb = 1 << y
     seen_head = head = ch[x] | sib[x]
     seen_tail = tail = pa[x]
-    while head | tail:
+    while (head | tail) and not (seen_head | seen_tail) & stop:
         to_head = to_tail = 0
         for w in bits((head | tail) & ~noncollider_block):
             to_head |= ch[w]
         for w in bits((head & collider_ok) | (tail & ~noncollider_block)):
             to_tail |= pa[w]
             to_head |= sib[w]
-        if (to_head | to_tail) & yb:
-            return True
         head = to_head & ~seen_head
         tail = to_tail & ~seen_tail
         seen_head |= head
         seen_tail |= tail
-    return False
+    return seen_head | seen_tail
+
+
+def _reachable(g, x, y, collider_ok, noncollider_block):
+    """Whether ``reach_all`` from x reaches y; the walk stops at y."""
+    reached = reach_all(g, x, collider_ok, noncollider_block, 1 << y)
+    return (reached >> y) & 1 == 1
 
 
 def _check_sep_args(g, x, y, z):

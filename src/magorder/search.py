@@ -44,8 +44,10 @@ class ViConfig:
     cap: int = 20
 
     def __post_init__(self):
-        if self.cap < 1:
-            raise ValueError("cap must be at least 1")
+        # Two lists and two int64 tables take about 32 B per state, so
+        # 2^24 states already need about 0.5 GB.
+        if not 1 <= self.cap <= 24:
+            raise ValueError("cap must lie in [1, 24]")
 
 
 @dataclass(frozen=True)

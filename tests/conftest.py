@@ -53,6 +53,11 @@ def submasks(mask):
         s = (s - 1) & mask
 
 
+def random_subset(rng, n, p):
+    """Bitmask keeping each of the n vertices with probability p."""
+    return mask_of(v for v in range(n) if rng.random() < p)
+
+
 def random_dag(rng, n, p):
     """Edges sampled pairwise, oriented along a random permutation."""
     perm = rng.permutation(n)

@@ -13,9 +13,9 @@ from magorder.ci import (
 from magorder.data import load_bundled, random_sem, sample_sem
 from magorder.discovery import NeighborFinder, learn_skeleton
 from magorder.errors import CiNumericalError
-from magorder.graph import MixedGraph, bits, mask_of
+from magorder.graph import bits, mask_of
 
-from conftest import random_dag
+from conftest import random_dag, random_mag, random_subset
 
 
 def sem_chain(n_samples, rng):
@@ -182,6 +182,33 @@ class TestMarkovBoundaries:
             assert batched.query_count == looped.query_count
             assert batched._cache == looped._cache
             vs &= ~(1 << int(rng.choice(members)))
+
+    def test_oracle_walks_match_per_pair_tests(self):
+        # One walk per vertex gives the base loop's verdicts, counts and
+        # cache, from a partly warmed cache and above 64 vertices too.
+        rng = np.random.default_rng(41)
+        for trial, n in enumerate((4, 6, 9, 13, 20, 30, 45, 66, 70)):
+            p = min(0.5, 3 / n)
+            g = random_dag(rng, n, p) if trial % 2 else random_mag(
+                rng, n, n + 3, p)
+            walked, looped = OracleCiTester(g), OracleCiTester(g)
+            vs = g.full_mask
+            while vs.bit_count() > 1:
+                members = list(bits(vs))
+                for _ in range(len(members)):
+                    x, y = (int(v) for v in rng.choice(members, 2, False))
+                    rest = vs & ~(1 << x) & ~(1 << y)
+                    z = rest if rng.random() < 0.5 else \
+                        rest & random_subset(rng, n, 0.3)
+                    assert walked.test(x, y, z) == looped.test(x, y, z)
+                got = walked.total_conditioning(vs)
+                want = CiTester.total_conditioning(looped, vs)
+                assert list(got.items()) == list(want.items())
+                assert walked.query_count == looped.query_count
+                assert walked._cache == looped._cache
+                vs &= random_subset(rng, n, 0.6)
+        with pytest.raises(ValueError):
+            walked.total_conditioning(1 << n)
 
     def test_one_inverse_errors_match_per_pair_tests(self):
         rng = np.random.default_rng(3)

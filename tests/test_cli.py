@@ -123,6 +123,8 @@ class TestExperimentConfig:
         {"graph": {"kind": "bundled", "name": "asia"},
          "searcher": {"kind": "vi", "cap": 0}},
         {"graph": {"kind": "bundled", "name": "asia"},
+         "searcher": {"kind": "vi", "cap": 25}},
+        {"graph": {"kind": "bundled", "name": "asia"},
          "tester": {"kind": "oracle", "alpha": 0.1}},
         {"graph": {"kind": "bundled", "name": "asia"},
          "searcher": {"kind": "hc", "initializer": "nope"}},
@@ -414,6 +416,7 @@ class TestMain:
         ["run", "--config", "manifest.json"],
         ["run", "--config", "manifest.json", "--latent-count", "1"],
         ["run", "--er", "25", "0.1", "--searcher", "vi", "--vi-cap", "10"],
+        ["run", "--er", "5", "0.5", "--searcher", "vi", "--vi-cap", "25"],
         ["run", "--network", "alarm", "--searcher", "vi"],
     ])
     def test_bad_inputs_exit_2_before_any_replication(self, argv, tmp_path,
@@ -431,6 +434,8 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        if "utf16.json" in argv:
+            assert "config file utf16.json is not UTF-8" in err[0]
         assert started == []
 
     def test_mistyped_alpha_exits_2(self, tmp_path, capsys):

@@ -16,7 +16,6 @@ from magorder.errors import OrientationConflict
 from magorder.graph import (
     MixedGraph,
     bits,
-    latent_projection,
     m_separated,
     mask_of,
 )
@@ -96,6 +95,29 @@ class TestOracleNeighbors:
                         continue
                     assert finder.neighbor_mask(x, remaining) == \
                         brute_neighbors(g, x, remaining)
+
+    def test_matches_definition_for_every_remaining_set(self):
+        # y is adjacent exactly when no subset of R - {x, y} m-separates
+        # x and y; every R, with x inside it or not.
+        rng = np.random.default_rng(19)
+        for trial in range(12):
+            n = 6 + trial % 2
+            g = random_dag(rng, n, 0.4) if trial % 4 < 2 else random_mag(
+                rng, n, n + 2, 0.35)
+            seps = {}
+            for x in range(n):
+                for y in range(x + 1, n):
+                    free = g.full_mask & ~(1 << x) & ~(1 << y)
+                    seps[x, y] = seps[y, x] = [
+                        z for z in submasks(free) if m_separated(g, x, y, z)]
+            finder = oracle_finder(g)
+            for remaining in submasks(g.full_mask):
+                for x in range(n):
+                    expected = mask_of(
+                        y for y in bits(remaining & ~(1 << x))
+                        if not any(z & ~remaining == 0 for z in seps[x, y]))
+                    assert finder.neighbor_mask(x, remaining) == expected, \
+                        (g, x, remaining)
 
     def test_sepsets_separate(self):
         rng = np.random.default_rng(13)

@@ -6,6 +6,7 @@ import pytest
 from magorder.errors import CapacityError
 from magorder.graph import (
     MixedGraph,
+    _reachable,
     _topological,
     ancestors,
     bits,
@@ -20,6 +21,7 @@ from magorder.graph import (
     m_separated,
     m_separated_by_paths,
     mask_of,
+    reach_all,
 )
 
 from conftest import (
@@ -27,6 +29,7 @@ from conftest import (
     random_ancestral,
     random_dag,
     random_mag,
+    random_subset,
     submasks,
 )
 
@@ -214,6 +217,47 @@ class TestSeparation:
                 for z in submasks(free):
                     assert m_separated(g, x, y, z) == \
                         m_separated_by_paths(g, x, y, z), (g, x, y, z)
+
+
+def mark_search(g, x, collider_ok, block):
+    """Vertices reached from x by a search over (vertex, mark at it)
+    states: the reference ``reach_all`` is tested against."""
+    def moves(v):   # (next vertex, mark at v, mark at the next vertex)
+        return ([(c, "tail", "head") for c in bits(g.children_mask(v))]
+                + [(p, "head", "tail") for p in bits(g.parents_mask(v))]
+                + [(s, "head", "head") for s in bits(g.siblings_mask(v))])
+
+    stack = [(w, far) for w, _, far in moves(x)]
+    seen = set(stack)
+    while stack:
+        v, mark_in = stack.pop()
+        for w, here, far in moves(v):
+            if mark_in == here == "head":
+                passable = (collider_ok >> v) & 1
+            else:
+                passable = not (block >> v) & 1
+            if passable and (w, far) not in seen:
+                seen.add((w, far))
+                stack.append((w, far))
+    return mask_of(v for v, _ in seen)
+
+
+class TestReachAll:
+    def test_matches_per_target_walks(self):
+        rng = np.random.default_rng(31)
+        for trial, n in enumerate(range(5, 91, 4)):
+            p = min(0.5, 3 / n)
+            g = random_dag(rng, n, p) if trial % 3 else random_mag(
+                rng, n, n + int(rng.integers(1, 5)), p)
+            for _ in range(4):
+                x = int(rng.integers(n))
+                collider_ok, block = (random_subset(rng, n, rng.random())
+                                      for _ in range(2))
+                reached = reach_all(g, x, collider_ok, block)
+                assert reached == mark_search(g, x, collider_ok, block)
+                for y in range(n):
+                    assert _reachable(g, x, y, collider_ok, block) == \
+                        bool((reached >> y) & 1), (g, x, y)
 
 
 class TestInducedSubgraph:

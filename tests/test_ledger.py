@@ -2,11 +2,12 @@
 
 Each config runs through ``cli.run``.  The test compares a hash of its
 replication rows (every field but ``wall_clock``), the number of oracle
-walks (``discovery._reachable`` calls) and each replication's
-``ci_tests`` with the values stored in ``ledger.json``.  A change that
-should not alter outputs leaves that file alone; one that alters them on
-purpose rewrites it with ``PYTHONPATH=src python tests/test_ledger.py``
-and says why.
+walks of both kinds (``walks``: per-pair ``discovery._reachable`` calls;
+``all_target_walks``: ``reach_all`` calls from ``discovery`` and ``ci``)
+and each replication's ``ci_tests`` with the values stored in
+``ledger.json``.  A change that should not alter outputs leaves that file
+alone; one that alters them on purpose rewrites it with
+``PYTHONPATH=src python tests/test_ledger.py`` and says why.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from magorder import cli, discovery
+from magorder import ci, cli, discovery
 
 LEDGER = Path(__file__).with_name("ledger.json")
 
@@ -45,21 +46,25 @@ CONFIGS = {
 
 def measure(raw):
     """The ledger entry of one config: row hash, walks and CI tests."""
-    walks = 0
-    reachable = discovery._reachable
+    counts = {"walks": 0, "all_target_walks": 0}
 
-    def counted(*args, **kwargs):
-        nonlocal walks
-        walks += 1
-        return reachable(*args, **kwargs)
+    def counted(field, walk):
+        def wrapper(*args, **kwargs):
+            counts[field] += 1
+            return walk(*args, **kwargs)
+        return wrapper
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(discovery, "_reachable", counted)
+        patch.setattr(discovery, "_reachable",
+                      counted("walks", discovery._reachable))
+        for module in (discovery, ci):
+            patch.setattr(module, "reach_all",
+                          counted("all_target_walks", module.reach_all))
         rows = cli.run(cli.ExperimentConfig.from_dict(raw)).rows
     fixed = [{k: v for k, v in row.items() if k != "wall_clock"}
              for row in rows]
     digest = hashlib.sha256(json.dumps(fixed, sort_keys=True).encode())
-    return {"rows_sha256": digest.hexdigest(), "walks": walks,
+    return {"rows_sha256": digest.hexdigest(), **counts,
             "ci_tests": [row["ci_tests"] for row in rows]}
 
 

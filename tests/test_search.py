@@ -223,6 +223,12 @@ class TestValueIteration:
         with pytest.raises(CapacityError):
             value_iteration(oracle_finder(g), ViConfig(cap=4))
 
+    def test_cap_bounded_before_any_table(self):
+        # 2^25 states would need about 1 GB; only the settings are built.
+        assert ViConfig(cap=24).cap == 24
+        with pytest.raises(ValueError, match="24"):
+            ViConfig(cap=25)
+
 
 class TestPolicyGradient:
     def test_chain_reaches_optimum(self, chain3):
